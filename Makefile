@@ -5,7 +5,7 @@ GO ?= go
 # bash for pipefail in bench-json.
 SHELL := /bin/bash
 
-.PHONY: build test race bench bench-json bench-gate script-lint fmt vet fmt-check x11 x12 x13 x14 x15 fuzz-smoke serve-smoke ci
+.PHONY: build test race bench bench-json bench-gate script-lint fmt vet fmt-check perfbench-check x11 x12 x13 x14 x15 fuzz-smoke serve-smoke ci
 
 build:
 	$(GO) build ./...
@@ -68,6 +68,12 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
+# The repo benchmark (perfbench/, its own module over this one) must
+# keep building and pass its self-tests: an API change that breaks it
+# would otherwise pass every other gate.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # The X11 differential invariant sweep: 60 fixed-seed fuzzed
 # scenarios, each run under the online invariant oracle in every
 # legal collection mode, retained vs streamed reports cross-checked.
@@ -121,4 +127,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzCheckpoint -fuzztime 10s ./internal/verify/gen
 
-ci: build vet fmt-check script-lint race bench-json bench-gate x11 x12 x13 x14 x15 serve-smoke
+ci: build vet fmt-check script-lint perfbench-check race bench-json bench-gate x11 x12 x13 x14 x15 serve-smoke

@@ -155,7 +155,7 @@ func BenchmarkSweepFaultMagnitude(b *testing.B) {
 	var points []experiments.SweepPoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		points, err = experiments.FaultMagnitudeSweep(ms(60), ms(20))
+		points, err = experiments.FaultMagnitudeSweepCtx(context.Background(), ms(60), ms(20), experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func BenchmarkSweepDetectorOverhead(b *testing.B) {
 	var points []experiments.OverheadPoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		points, err = experiments.DetectorOverheadSweep([]int{4, 8, 16}, 7)
+		points, err = experiments.DetectorOverheadSweepCtx(context.Background(), []int{4, 8, 16}, 7, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func BenchmarkSweepTimerResolution(b *testing.B) {
 	var points []experiments.ResolutionPoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		points, err = experiments.TimerResolutionSweep()
+		points, err = experiments.TimerResolutionSweepCtx(context.Background(), experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -277,7 +277,7 @@ func BenchmarkSweepBaselines(b *testing.B) {
 	var points []experiments.BaselinePoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		points, err = experiments.BaselineComparison(ms(50), 6*vtime.Second)
+		points, err = experiments.BaselineComparisonCtx(context.Background(), ms(50), 6*vtime.Second, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -310,7 +310,7 @@ func BenchmarkSweepAcceptance(b *testing.B) {
 	var points []experiments.AcceptancePoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		points, err = experiments.AcceptanceSweep([]float64{0.6, 0.8, 0.95}, 50, 5, 11)
+		points, err = experiments.AcceptanceSweepCtx(context.Background(), []float64{0.6, 0.8, 0.95}, 50, 5, 11, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -25,7 +25,7 @@
 //	rtrun -tasks system.tasks -arrive tau1:trace:run.jsonl   (JSON-lines trace file)
 //
 // Source-driven releases have no periodic admission analysis, so
-// -arrive implies skip_admission (the bare engine, treatment none).
+// -arrive implies skip_admission (and so treatment none).
 // In a scenario file the equivalent is the "arrivals" block, which
 // additionally supports inline trace records and server-fed sources.
 //
@@ -201,9 +201,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			sim.WithFaults(faults...),
 		}
 		if len(arrivals) > 0 {
-			// Task-targeted sources ride the bare engine: open arrivals
-			// have no periodic admission analysis, so -arrive implies
-			// skip_admission (validation rejects any other treatment).
+			// Open arrivals have no periodic admission analysis, so
+			// -arrive implies skip_admission (validation rejects any
+			// other treatment).
 			opts = append(opts, sim.WithArrivals(arrivals...), sim.WithoutAdmission())
 		}
 		if *stream {

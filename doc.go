@@ -131,8 +131,9 @@
 // by default, sched.BestFitDecreasing with "partitioner":
 // "best-fit" — each core's feasibility proved by the paper's exact
 // response-time analysis; cores then schedule independently and jobs
-// never migrate. Multiprocessor runs use the bare engine (admission
-// control and the fault treatments are uniprocessor machinery), so
+// never migrate. Multiprocessor runs go through internal/core with
+// admission skipped (admission control and the fault treatments are
+// uniprocessor machinery), so
 // cpus > 1 admits treatment "none", no servers, and the
 // fixed-priority/edf policies only — the strict codec rejects
 // anything else. Checkpoints serialize per-core running state, the
@@ -154,7 +155,7 @@
 // policy-consistent dispatch order (fixed-priority exact, the EDF
 // family via recomputed keys), detector fires at the paper's
 // latest-detection bound, per-task conservation, and server budgets.
-// Arm it with core.Config.Verify, sim.WithVerify, the scenario
+// Arm it with core.Config.Checker, sim.WithVerify, the scenario
 // "verify": true, or rtrun -check; a violation fails the run with a
 // *verify.Error naming each breach. internal/verify/gen fuzzes the
 // scenario space (seeded UUniFast task sets × fault chains × policies
@@ -178,7 +179,8 @@
 // traffic) — or with "trace", the replay of a recorded arrival log
 // whose records carry per-release cost and deadline overrides.
 // Task-targeted sources require skip_admission (open arrivals have no
-// periodic admission analysis; they ride the bare engine), while
+// periodic admission analysis; they go through internal/core with
+// admission skipped), while
 // server-targeted sources generate an aperiodic server's request
 // stream in place of a static list. The trace grammar is canonical
 // JSONL with strictly increasing releases — out-of-order input is

@@ -4,7 +4,10 @@
 // engine) and the fault detectors and treatments (package detect)
 // into a single System that mirrors the paper's workflow — parse the
 // tasks, run admission control, start the system with detectors, and
-// collect the time-series log.
+// collect the time-series log. Runs outside the paper's admission
+// model (Config.SkipAdmission, multiprocessor platforms) go through the
+// same System with the admission, allowance and detector steps left
+// out.
 package core
 
 import (
@@ -62,21 +65,29 @@ type Config struct {
 	// FastForward enables the engine's steady-state cycle detection:
 	// once two consecutive hyperperiod boundaries fingerprint equal,
 	// the remaining whole cycles are extrapolated analytically and only
-	// the tail is simulated (engine/fastforward.go). Requires Stream
-	// collection and NoDetection treatment, and excludes faults, stop
-	// jitter, TraceSink and Verify — everything that would either break
-	// periodicity or observe the event hole the jump leaves.
+	// the tail is simulated (engine/fastforward.go). NewSystem rejects
+	// what the eligibility table (engine.Features) rules out —
+	// everything that would either break periodicity or observe the
+	// event hole the jump leaves, TraceSink and Checker included.
 	FastForward bool
-	// Verify enables the online invariant oracle (package verify):
-	// every trace event is checked against the scheduling axioms as
-	// it is recorded — in Retain and Stream collection alike — and
-	// Run fails with a wrapped *verify.Error on any violation.
-	Verify bool
-	// VerifyServerBudgets optionally maps polling-server task names
-	// to their per-job capacity for the oracle's budget axiom (the
-	// sim facade fills it; core itself has no server notion). Only
-	// meaningful with Verify.
-	VerifyServerBudgets map[string]vtime.Duration
+	// SkipAdmission runs without the paper's admission control: no
+	// feasibility test, allowance or detector supervisor (so only
+	// treatment none applies) — how deliberately overloaded systems
+	// run. Multiprocessor runs (CPUs > 1) skip it implicitly: the
+	// uniprocessor test does not apply to them.
+	SkipAdmission bool
+	// CPUs, Partition and Sources select the processor topology and
+	// source-driven releases, as in engine.Config.
+	CPUs      int
+	Partition []int
+	Sources   []taskset.Source
+	// Checker, when non-nil, is the online invariant oracle (package
+	// verify; verify.ForScenario builds one for a scenario): every
+	// trace event is checked against the scheduling axioms as it is
+	// recorded — in Retain and Stream collection alike — and the run
+	// fails with a wrapped *verify.Error on any violation. A Checker
+	// observes one run.
+	Checker *verify.Checker
 }
 
 // Result is the outcome of a run.
@@ -85,10 +96,10 @@ type Result struct {
 	Log *trace.Log
 	// Report summarizes jobs and tasks from the log.
 	Report *metrics.Report
-	// Admission is the pre-run feasibility report.
+	// Admission is the pre-run feasibility report (nil when the run
+	// skipped admission control).
 	Admission *analysis.Report
-	// Allowance is the tolerance analysis (nil with NoDetection and
-	// an infeasible-for-allowance system).
+	// Allowance is the tolerance analysis (nil without admission).
 	Allowance *allowance.Table
 	// Detections counts detector-flagged faults.
 	Detections int64
@@ -103,14 +114,15 @@ type Result struct {
 // System is a configured, not-yet-run reproduction instance.
 type System struct {
 	cfg Config
+	// sup and adm are nil when the run skips admission control.
 	sup *detect.Supervisor
 	adm *analysis.Report
 }
 
-// NewSystem validates the configuration and performs the paper's
-// admission control. It fails when the declared system is not
-// theoretically feasible — the paper's detectors presuppose an
-// admitted system whose WCRTs exist.
+// NewSystem validates the configuration and, unless the run skips it
+// (Config.SkipAdmission, CPUs > 1), performs the paper's admission
+// control. It fails when an admitted system is not theoretically
+// feasible — the paper's detectors presuppose WCRTs that exist.
 func NewSystem(cfg Config) (*System, error) {
 	if cfg.Tasks == nil {
 		return nil, fmt.Errorf("core: no tasks configured")
@@ -118,14 +130,22 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("core: horizon must be positive")
 	}
-	if cfg.Policy != nil && cfg.Policy.Name() != (engine.FixedPriority{}).Name() &&
-		cfg.Treatment != detect.NoDetection {
-		return nil, fmt.Errorf("core: policy %q cannot combine with treatment %v: detectors presuppose fixed-priority analysis", cfg.Policy.Name(), cfg.Treatment)
+	s := &System{cfg: cfg}
+	if cfg.Treatment != detect.NoDetection {
+		if !s.admitted() {
+			return nil, fmt.Errorf("core: treatment %v requires admission control (uniprocessor, SkipAdmission off)", cfg.Treatment)
+		}
+		if name := s.features().Policy; name != (engine.FixedPriority{}).Name() {
+			return nil, fmt.Errorf("core: policy %q cannot combine with treatment %v: detectors presuppose fixed-priority analysis", name, cfg.Treatment)
+		}
 	}
 	if cfg.FastForward {
-		if err := fastForwardable(cfg); err != nil {
+		if err := s.features().FastForwardable("core: fast-forward"); err != nil {
 			return nil, err
 		}
+	}
+	if !s.admitted() {
+		return s, nil
 	}
 	adm, err := analysis.Feasible(cfg.Tasks)
 	if err != nil {
@@ -134,65 +154,66 @@ func NewSystem(cfg Config) (*System, error) {
 	if !adm.Feasible {
 		return nil, fmt.Errorf("core: admission control rejects the system (misses: %v)", adm.Misses)
 	}
-	sup, err := detect.NewSupervisor(cfg.Tasks, detect.Config{
+	s.adm = adm
+	s.sup, err = detect.NewSupervisor(cfg.Tasks, detect.Config{
 		Treatment:       cfg.Treatment,
 		TimerResolution: cfg.TimerResolution,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &System{cfg: cfg, sup: sup}, nil
+	return s, nil
 }
 
-// fastForwardable rejects configurations the steady-state fast-forward
-// cannot serve: detector treatments hold re-arming timers that poison
-// every hyperperiod boundary, Retain collection retains what the jump
-// skips, faults and stop jitter break periodicity, and TraceSink /
-// Verify observe the event stream directly — the extrapolated cycles
-// emit no events, so either would see a hole.
-func fastForwardable(cfg Config) error {
-	if cfg.Treatment != detect.NoDetection {
-		return fmt.Errorf("core: fast-forward requires treatment %v (detector timers re-arm every period, suppressing cycle detection), have %v", detect.NoDetection, cfg.Treatment)
+// admitted reports whether the run goes through admission control.
+func (s *System) admitted() bool { return !s.cfg.SkipAdmission && s.cfg.CPUs <= 1 }
+
+// engineConfig maps the configuration onto the engine; prepare adds
+// the sink chain, observer and hooks.
+func (s *System) engineConfig() engine.Config {
+	return engine.Config{
+		Tasks:         s.cfg.Tasks,
+		Faults:        s.cfg.Faults,
+		Sources:       s.cfg.Sources,
+		End:           vtime.Time(s.cfg.Horizon),
+		Policy:        s.cfg.Policy,
+		StopPoll:      s.cfg.StopPoll,
+		StopJitterMax: s.cfg.StopJitterMax,
+		Seed:          s.cfg.Seed,
+		ContextSwitch: s.cfg.ContextSwitch,
+		CPUs:          s.cfg.CPUs,
+		Partition:     s.cfg.Partition,
+		Collect:       s.cfg.Collect,
+		FastForward:   s.cfg.FastForward,
 	}
-	if cfg.Collect != engine.Stream {
-		return fmt.Errorf("core: fast-forward requires Stream collection")
-	}
-	if len(cfg.Faults) > 0 {
-		return fmt.Errorf("core: fast-forward cannot combine with a fault plan")
-	}
-	if cfg.StopJitterMax > 0 {
-		return fmt.Errorf("core: fast-forward cannot combine with stop jitter")
-	}
-	if cfg.TraceSink != nil {
-		return fmt.Errorf("core: fast-forward cannot combine with a trace sink (extrapolated cycles emit no events)")
-	}
-	if cfg.Verify {
-		return fmt.Errorf("core: fast-forward cannot combine with the online oracle (extrapolated cycles emit no events to check)")
-	}
-	return nil
 }
 
-// policyName resolves the configured policy's registry name (nil
-// means the default fixed-priority scheduler).
-func (s *System) policyName() string {
-	if s.cfg.Policy == nil {
-		return engine.FixedPriority{}.Name()
-	}
-	return s.cfg.Policy.Name()
+// features adds what only core sees — the treatment, the oracle and
+// the trace sink — to the engine's eligibility features.
+func (s *System) features() engine.Features {
+	ecfg := s.engineConfig()
+	f := ecfg.Features()
+	f.Detectors = s.cfg.Treatment != detect.NoDetection
+	f.Oracle = s.cfg.Checker != nil
+	f.TraceSink = s.cfg.TraceSink != nil
+	return f
 }
 
-// Admission returns the pre-run feasibility report.
-func (s *System) Admission() *analysis.Report {
-	if s.adm == nil {
-		s.adm, _ = analysis.Feasible(s.cfg.Tasks)
+// Admission returns the pre-run feasibility report (nil when the run
+// skips admission control).
+func (s *System) Admission() *analysis.Report { return s.adm }
+
+// Allowance returns the tolerance table backing the treatments (nil
+// when the run skips admission control).
+func (s *System) Allowance() *allowance.Table {
+	if s.sup == nil {
+		return nil
 	}
-	return s.adm
+	return s.sup.Table()
 }
 
-// Allowance returns the tolerance table backing the treatments.
-func (s *System) Allowance() *allowance.Table { return s.sup.Table() }
-
-// Supervisor exposes the detector supervisor (for dynamic admission).
+// Supervisor exposes the detector supervisor (for dynamic admission;
+// nil when the run skips admission control).
 func (s *System) Supervisor() *detect.Supervisor { return s.sup }
 
 // Run simulates the system to the horizon and returns the result.
@@ -203,121 +224,84 @@ func (s *System) Run() (*Result, error) {
 
 // RunWith exposes the engine to a caller-driven scenario (dynamic
 // admission examples): setup runs after detectors are attached and
-// may schedule events on the engine before it starts.
+// may schedule events on the engine before it starts (sup is nil when
+// the run skips admission control).
 func (s *System) RunWith(setup func(e *engine.Engine, sup *detect.Supervisor)) (*Result, error) {
-	p, err := s.prepare(setup)
+	p, err := s.prepare()
 	if err != nil {
 		return nil, err
 	}
-	log := p.eng.Run()
-	return s.finish(p, log)
+	if setup != nil {
+		setup(p.eng, s.sup)
+	}
+	return s.finish(p, p.eng.Run())
 }
 
 // prepared is a wired-but-not-yet-run instance: the engine with its
-// sink chain (accumulator, oracle, spill) assembled and the
+// sink chain (accumulator, oracle, trace sink) assembled and the
 // supervisor attached.
 type prepared struct {
 	eng *engine.Engine
 	acc *metrics.Accumulator
-	chk *verify.Checker
 }
 
-// prepare assembles the sink chain and the engine — everything RunWith
-// does before eng.Run(). Split out so the checkpoint entry points
-// (RunToCheckpoint, RunFrom) reuse the exact wiring of a plain run.
-func (s *System) prepare(setup func(e *engine.Engine, sup *detect.Supervisor)) (*prepared, error) {
+// prepare assembles the sink chain and the engine — everything a run
+// does before eng.Run(), shared by Run, RunToCheckpoint and RunFrom.
+func (s *System) prepare() (*prepared, error) {
+	ecfg := s.engineConfig()
+	ecfg.Sink = s.cfg.TraceSink
 	var acc *metrics.Accumulator
-	sink := s.cfg.TraceSink
 	if s.cfg.Collect == engine.Stream {
 		// Streaming: the accumulator summarizes the event stream in
 		// place of the post-hoc Analyze; the optional TraceSink sees
 		// the same events (Tee skips it when nil).
 		acc = metrics.NewAccumulator()
-		sink = trace.Tee(acc, sink)
+		ecfg.Sink = trace.Tee(acc, ecfg.Sink)
 	}
-	var obs engine.CycleObserver
 	if s.cfg.FastForward {
 		// The accumulator doubles as the cycle observer so the metrics
 		// stay exact across the analytic jump.
-		obs = acc
+		ecfg.Observer = acc
 	}
-	// Oracle arming for admitted systems; the bare-engine twin (no
-	// supervisor, hence no detector offsets) lives in sim.System.Run's
-	// SkipAdmission branch — change both together.
-	var chk *verify.Checker
-	if s.cfg.Verify {
-		vcfg := verify.Config{
-			Tasks:         s.cfg.Tasks,
-			Policy:        s.policyName(),
-			ServerBudgets: s.cfg.VerifyServerBudgets,
-			ContextSwitch: s.cfg.ContextSwitch,
-			Horizon:       vtime.Time(s.cfg.Horizon),
-		}
-		if s.cfg.Treatment != detect.NoDetection {
-			// The oracle checks detector fires against the same
-			// latest-detection bounds the supervisor armed.
-			offs := make(map[string]vtime.Duration, s.cfg.Tasks.Len())
-			for _, t := range s.cfg.Tasks.Tasks {
-				if off, ok := s.sup.DetectorOffset(t.Name); ok {
-					offs[t.Name] = off
-				}
-			}
-			vcfg.DetectorOffsets = offs
-		}
-		var err error
-		chk, err = verify.New(vcfg)
-		if err != nil {
-			return nil, err
-		}
-		sink = trace.Tee(chk, sink)
+	if s.cfg.Checker != nil {
+		ecfg.Sink = trace.Tee(s.cfg.Checker, ecfg.Sink)
 	}
-	eng, err := engine.New(engine.Config{
-		Tasks:         s.cfg.Tasks,
-		Faults:        s.cfg.Faults,
-		End:           vtime.Time(s.cfg.Horizon),
-		Policy:        s.cfg.Policy,
-		StopPoll:      s.cfg.StopPoll,
-		StopJitterMax: s.cfg.StopJitterMax,
-		Seed:          s.cfg.Seed,
-		ContextSwitch: s.cfg.ContextSwitch,
-		Collect:       s.cfg.Collect,
-		Sink:          sink,
-		FastForward:   s.cfg.FastForward,
-		Observer:      obs,
-		Hooks:         s.sup.Hooks(),
-	})
+	if s.sup != nil {
+		ecfg.Hooks = s.sup.Hooks()
+	}
+	eng, err := engine.New(ecfg)
 	if err != nil {
 		return nil, err
 	}
-	s.sup.Attach(eng)
-	if setup != nil {
-		setup(eng, s.sup)
+	if s.sup != nil {
+		s.sup.Attach(eng)
 	}
-	return &prepared{eng: eng, acc: acc, chk: chk}, nil
+	return &prepared{eng: eng, acc: acc}, nil
 }
 
 // finish settles a completed run: oracle verdict, report, result.
 func (s *System) finish(p *prepared, log *trace.Log) (*Result, error) {
-	if p.chk != nil {
-		if verr := p.chk.FinishErr(); verr != nil {
+	if s.cfg.Checker != nil {
+		if verr := s.cfg.Checker.FinishErr(); verr != nil {
 			return nil, fmt.Errorf("core: invariant oracle: %w", verr)
 		}
 	}
-	var rep *metrics.Report
-	if p.acc != nil {
-		rep = p.acc.Report()
-	} else {
-		rep = metrics.Analyze(log)
-	}
-	return &Result{
+	res := &Result{
 		Log:           log,
-		Report:        rep,
-		Admission:     s.Admission(),
-		Allowance:     s.sup.Table(),
-		Detections:    s.sup.Detections(),
+		Admission:     s.adm,
+		Allowance:     s.Allowance(),
 		Switches:      p.eng.Switches(),
 		SkippedCycles: p.eng.SkippedCycles(),
-	}, nil
+	}
+	if p.acc != nil {
+		res.Report = p.acc.Report()
+	} else {
+		res.Report = metrics.Analyze(log)
+	}
+	if s.sup != nil {
+		res.Detections = s.sup.Detections()
+	}
+	return res, nil
 }
 
 // CheckpointState pairs the two halves of a mid-run snapshot: the
@@ -330,38 +314,17 @@ type CheckpointState struct {
 	Metrics *metrics.AccumulatorState
 }
 
-// checkpointable rejects configurations whose runtime state cannot be
-// serialized: detector treatments hold closure-bearing timers, Retain
-// collection carries the full log and job history, and the online
-// oracle is a mid-stream observer whose verdict would be meaningless
-// split across processes (run verify.ForScenario over the concatenated
-// spill trace instead).
-func (s *System) checkpointable() error {
-	if s.cfg.Treatment != detect.NoDetection {
-		return fmt.Errorf("core: checkpointing requires treatment %v (detector timers are not serializable), have %v", detect.NoDetection, s.cfg.Treatment)
-	}
-	if s.cfg.Collect != engine.Stream {
-		return fmt.Errorf("core: checkpointing requires Stream collection")
-	}
-	if s.cfg.Verify {
-		return fmt.Errorf("core: checkpointing cannot combine with the online oracle; replay the concatenated trace through verify instead")
-	}
-	if s.cfg.FastForward {
-		return fmt.Errorf("core: checkpointing cannot combine with fast-forward (the jump skips the boundary instants a snapshot would capture)")
-	}
-	return nil
-}
-
 // RunToCheckpoint simulates the system up to instant at (exclusive of
 // later events), then snapshots it. Events strictly before or at `at`
 // have fired; the partial trace reaches cfg.TraceSink; the returned
 // state resumes with RunFrom on a fresh System built from the same
-// Config. Like Run, it consumes the System.
+// Config. Like Run, it consumes the System. Configurations the
+// eligibility table rules out fail before any event is simulated.
 func (s *System) RunToCheckpoint(at vtime.Duration) (*CheckpointState, error) {
-	if err := s.checkpointable(); err != nil {
+	if err := s.features().Checkpointable("core: checkpointing"); err != nil {
 		return nil, err
 	}
-	p, err := s.prepare(nil)
+	p, err := s.prepare()
 	if err != nil {
 		return nil, err
 	}
@@ -381,13 +344,13 @@ func (s *System) RunToCheckpoint(at vtime.Duration) (*CheckpointState, error) {
 // cfg.TraceSink, and the returned Report covers the whole run —
 // segment one arrives inside the checkpoint's accumulator state.
 func (s *System) RunFrom(cp *CheckpointState) (*Result, error) {
-	if err := s.checkpointable(); err != nil {
+	if err := s.features().Checkpointable("core: checkpointing"); err != nil {
 		return nil, err
 	}
 	if cp == nil || cp.Engine == nil || cp.Metrics == nil {
 		return nil, fmt.Errorf("core: RunFrom needs both engine and metrics state")
 	}
-	p, err := s.prepare(nil)
+	p, err := s.prepare()
 	if err != nil {
 		return nil, err
 	}
@@ -397,6 +360,5 @@ func (s *System) RunFrom(cp *CheckpointState) (*Result, error) {
 	if err := p.eng.Restore(cp.Engine); err != nil {
 		return nil, err
 	}
-	log := p.eng.Run()
-	return s.finish(p, log)
+	return s.finish(p, p.eng.Run())
 }

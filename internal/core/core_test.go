@@ -112,3 +112,37 @@ func TestSupervisorAccessor(t *testing.T) {
 		t.Fatal("supervisor must be exposed")
 	}
 }
+
+// TestSkipAdmission: a run outside the admission model (SkipAdmission
+// or CPUs > 1) goes through the same System without the admission,
+// allowance and supervisor steps, so an infeasible set still runs —
+// and a detector treatment, which needs those steps, is refused.
+func TestSkipAdmission(t *testing.T) {
+	bad := taskset.MustNew(
+		taskset.Task{Name: "a", Priority: 2, Period: ms(10), Deadline: ms(5), Cost: ms(5)},
+		taskset.Task{Name: "b", Priority: 1, Period: ms(10), Deadline: ms(6), Cost: ms(5)},
+	)
+	for _, cfg := range []Config{
+		{Tasks: bad, Horizon: ms(100), SkipAdmission: true},
+		{Tasks: bad, Horizon: ms(100), CPUs: 2},
+	} {
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		if sys.Admission() != nil || sys.Allowance() != nil || sys.Supervisor() != nil {
+			t.Errorf("%+v: admission artefacts on a run that skips admission", cfg)
+		}
+		res, err := sys.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Admission != nil || res.Allowance != nil || res.Report.Tasks["b"].Released == 0 {
+			t.Errorf("%+v: result %+v", cfg, res)
+		}
+		cfg.Treatment = detect.Stop
+		if _, err := NewSystem(cfg); err == nil {
+			t.Errorf("%+v: a detector treatment without admission control was accepted", cfg)
+		}
+	}
+}

@@ -192,13 +192,15 @@ func (s *Supervisor) DetectorOffset(task string) (vtime.Duration, bool) {
 }
 
 // Attach installs the detectors on the engine. With NoDetection it
-// installs nothing. Call exactly once, before engine.Run.
+// installs nothing. Call exactly once, before engine.Run. Detectors
+// arm in task-set order, so simultaneous fires (and the stop-jitter
+// draws they trigger) happen in the same order on every run.
 func (s *Supervisor) Attach(e *engine.Engine) {
 	if s.cfg.Treatment == NoDetection {
 		return
 	}
-	for name := range s.plans {
-		s.scheduleDetector(e, name, 0)
+	for _, t := range s.set.Tasks {
+		s.scheduleDetector(e, t.Name, 0)
 	}
 }
 

@@ -22,9 +22,9 @@ const CheckpointVersion = 2
 // same Config needs to continue the run: a run split at a checkpoint
 // boundary produces a byte-identical trace to the unsplit run.
 //
-// Checkpoints cover Stream collection only (Retain runs keep the full
-// job history and log, which is exactly what a long-horizon run must
-// not carry), and only instants with no in-flight external timers —
+// Checkpoints cover only the runs the eligibility table admits (see
+// Features: Stream collection, no arrival sources, no d-over, no
+// fast-forward), and only instants with no in-flight external timers —
 // detector treatments, polling servers and d-over's watchdog hold
 // closure-bearing timers the checkpoint cannot capture. Snapshot
 // reports both conditions as errors.
@@ -112,19 +112,15 @@ type SlotCheckpoint struct {
 func (e *Engine) liveTimers() int { return len(e.fns) - len(e.freeFns) }
 
 // Snapshot captures the engine's state at the current event boundary
-// (reach one with RunUntil). It fails under Retain collection and
-// while external timers are in flight — see Checkpoint.
+// (reach one with RunUntil). It fails on configurations the
+// eligibility table rules out and while external timers are in
+// flight — see Checkpoint.
 func (e *Engine) Snapshot() (*Checkpoint, error) {
-	if !e.stream {
-		return nil, fmt.Errorf("engine: Snapshot requires Stream collection (Retain runs carry the full log and job history)")
+	if err := e.cfg.Features().Checkpointable("engine: Snapshot"); err != nil {
+		return nil, err
 	}
 	if n := e.liveTimers(); n > 0 {
 		return nil, fmt.Errorf("engine: Snapshot with %d external timer(s) in flight (detector treatments, polling servers and watchdog policies are not checkpointable)", n)
-	}
-	for _, ts := range e.tasks {
-		if ts.src != nil {
-			return nil, fmt.Errorf("engine: Snapshot cannot serialize task %q's arrival source (source iterator state is opaque)", ts.task.Name)
-		}
 	}
 	cp := &Checkpoint{
 		Version:   CheckpointVersion,
@@ -202,8 +198,8 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 	if cp.Version != CheckpointVersion {
 		return fmt.Errorf("engine: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
 	}
-	if !e.stream {
-		return fmt.Errorf("engine: Restore requires Stream collection")
+	if err := e.cfg.Features().Checkpointable("engine: Restore"); err != nil {
+		return err
 	}
 	if got := e.policy.Name(); got != cp.Policy {
 		return fmt.Errorf("engine: checkpoint policy %q, engine runs %q", cp.Policy, got)

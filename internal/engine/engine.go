@@ -125,9 +125,9 @@ type Config struct {
 	// FastForward enables steady-state cycle detection: Run
 	// fingerprints the state at every hyperperiod boundary and, once
 	// two consecutive boundaries match, extrapolates the remaining
-	// whole cycles analytically (see fastforward.go). Requires Stream
-	// collection, an empty fault plan, no stop jitter and a computable
-	// hyperperiod; New rejects ineligible configurations. Note the
+	// whole cycles analytically (see fastforward.go). New rejects what
+	// the eligibility table rules out (see Features) and task sets
+	// without a computable hyperperiod. Note the
 	// extrapolated cycles emit no trace events — a Sink that records
 	// events (rather than a CycleObserver-aware accumulator) would see
 	// a hole, so combine FastForward only with Observer-style sinks.
@@ -138,6 +138,102 @@ type Config struct {
 	Observer CycleObserver
 	// Hooks observe the run (all optional).
 	Hooks Hooks
+}
+
+// Features describes a run by what the fast-forward and checkpoint
+// eligibility rules read. Each layer fills in what it can see —
+// Config.Features the engine's own fields; core adds the treatment,
+// the oracle and the trace sink; a scenario adds its servers — and
+// asks the one rule table below for the verdict and the reason.
+type Features struct {
+	Retain      bool   // Retain collection
+	Detectors   bool   // a detector treatment arms per-task timers
+	Faults      bool   // a non-empty fault plan
+	Servers     bool   // aperiodic polling servers
+	Sources     bool   // source-driven (open-arrival or trace) releases
+	StopJitter  bool   // a positive StopJitterMax
+	Oracle      bool   // the online invariant oracle observes the events
+	TraceSink   bool   // a trace spill or progress observer sees the events
+	Policy      string // registered policy name ("" = fixed-priority)
+	FastForward bool
+}
+
+// eligibility is the one statement of the fast-forward and checkpoint
+// rules: each row names a feature and why it rules out either mode
+// ("" = compatible). Rows are checked in order; the first conflict is
+// reported.
+var eligibility = []struct {
+	has    func(f Features) bool
+	ff, cp string
+}{
+	{func(f Features) bool { return f.Detectors },
+		"requires treatment none (detector timers re-arm every period, suppressing cycle detection)",
+		"requires treatment none (detector timers are not serializable)"},
+	{func(f Features) bool { return f.Retain },
+		`requires Stream collection (collect mode "stream")`,
+		`requires streaming collection (collect mode "stream"); retained runs carry the full log and job history`},
+	{func(f Features) bool { return f.Servers },
+		"cannot combine with servers (aperiodic arrivals break hyperperiod periodicity)",
+		"cannot combine with polling servers (their timers are not serializable)"},
+	{func(f Features) bool { return f.Sources },
+		"cannot combine with arrivals (source-driven releases have no hyperperiod)",
+		"cannot combine with arrivals (a source's iterator state is not serializable)"},
+	{func(f Features) bool { return f.Faults },
+		"cannot combine with a fault plan (fault arrivals break hyperperiod periodicity)", ""},
+	{func(f Features) bool { return f.StopJitter },
+		"cannot combine with stop jitter (random draws break hyperperiod periodicity)", ""},
+	{func(f Features) bool { return f.Oracle },
+		"cannot combine with the online oracle (verify; extrapolated cycles emit no events to check)",
+		"cannot combine with the online oracle (verify); replay the concatenated trace instead"},
+	{func(f Features) bool { return f.TraceSink },
+		"cannot combine with a trace sink, spill or progress observer (extrapolated cycles emit no events)", ""},
+	{func(f Features) bool { return f.Policy != "" && f.Policy != "fixed-priority" && f.Policy != "edf" },
+		"requires an order-only policy (fixed-priority or edf): stateful overload policies are not covered by the cycle fingerprint", ""},
+	{func(f Features) bool { return f.Policy == "d-over" },
+		"", "cannot run policy d-over (its latest-start-time watchdog holds timers)"},
+	{func(f Features) bool { return f.FastForward },
+		"", "cannot combine with fast-forward (the analytic jump skips the boundary instants a snapshot would capture)"},
+}
+
+// FastForwardable returns nil when a run with these features may
+// fast-forward, else an error reading "<subject> <reason>" — the
+// subject is the caller's name for the mode (e.g. "scenario:
+// fast_forward").
+func (f Features) FastForwardable(subject string) error { return f.check(subject, false) }
+
+// Checkpointable is FastForwardable for mid-run snapshots.
+func (f Features) Checkpointable(subject string) error { return f.check(subject, true) }
+
+func (f Features) check(subject string, checkpoint bool) error {
+	for _, r := range eligibility {
+		why := r.ff
+		if checkpoint {
+			why = r.cp
+		}
+		if why != "" && r.has(f) {
+			return fmt.Errorf("%s %s", subject, why)
+		}
+	}
+	return nil
+}
+
+// Features reports the eligibility features the configuration itself
+// determines.
+func (cfg *Config) Features() Features {
+	f := Features{
+		Retain:      cfg.Collect != Stream,
+		Faults:      len(cfg.Faults) > 0,
+		StopJitter:  cfg.StopJitterMax > 0,
+		Policy:      FixedPriority{}.Name(),
+		FastForward: cfg.FastForward,
+	}
+	if cfg.Policy != nil {
+		f.Policy = cfg.Policy.Name()
+	}
+	for _, s := range cfg.Sources {
+		f.Sources = f.Sources || s != nil
+	}
+	return f
 }
 
 // Hooks are observation points used by the fault-tolerance supervisor
@@ -496,26 +592,10 @@ func New(cfg Config) (*Engine, error) {
 	if len(cfg.Sources) > 0 && len(cfg.Sources) != cfg.Tasks.Len() {
 		return nil, fmt.Errorf("engine: Sources has %d entries for %d tasks (must align index-for-index, nil = periodic)", len(cfg.Sources), cfg.Tasks.Len())
 	}
-	hasSource := false
-	for _, s := range cfg.Sources {
-		if s != nil {
-			hasSource = true
-			break
-		}
-	}
 	var ff *ffState
 	if cfg.FastForward {
-		if cfg.Collect != Stream {
-			return nil, fmt.Errorf("engine: FastForward requires Stream collection")
-		}
-		if hasSource {
-			return nil, fmt.Errorf("engine: FastForward cannot combine with arrival sources (source-driven releases have no hyperperiod)")
-		}
-		if len(cfg.Faults) > 0 {
-			return nil, fmt.Errorf("engine: FastForward cannot combine with a fault plan (fault arrivals break hyperperiod periodicity)")
-		}
-		if cfg.StopJitterMax > 0 {
-			return nil, fmt.Errorf("engine: FastForward cannot combine with stop jitter (random draws break hyperperiod periodicity)")
+		if err := cfg.Features().FastForwardable("engine: FastForward"); err != nil {
+			return nil, err
 		}
 		h, err := cfg.Tasks.Hyperperiod()
 		if err != nil {

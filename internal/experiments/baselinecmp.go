@@ -30,7 +30,7 @@ type BaselinePoint struct {
 	Tau3Success float64
 }
 
-// BaselineComparison (extension X4) runs the Table 2 system (τ3
+// BaselineComparisonCtx (extension X4) runs the Table 2 system (τ3
 // offset 1000 ms) with τ1 overrunning by extra on every other job,
 // under: the paper's FPP + detectors + Stop; plain fixed priorities
 // with no detection; EDF; Locke best-effort; RED; and D-over. The
@@ -38,17 +38,9 @@ type BaselinePoint struct {
 // cheap detectors, rather than generic overload handling — shows up
 // as the FPP+Stop row protecting τ2/τ3 completely.
 //
-// Deprecated: use BaselineComparisonCtx (or the "x4" entry of the
-// repro/sim experiment registry), which adds cancellation and
-// parallel execution.
-func BaselineComparison(extra vtime.Duration, horizon vtime.Duration) ([]BaselinePoint, error) {
-	return BaselineComparisonCtx(context.Background(), extra, horizon, RunOptions{})
-}
-
-// BaselineComparisonCtx is BaselineComparison over the runner pool:
-// each policy's run is an independent simulation, the paper's
-// detector-supervised run first, the five overload schedulers after,
-// collected in that order.
+// Over the runner pool, each policy's run is an independent
+// simulation: the paper's detector-supervised run first, the five
+// overload schedulers after, collected in that order.
 func BaselineComparisonCtx(ctx context.Context, extra vtime.Duration, horizon vtime.Duration, opt RunOptions) ([]BaselinePoint, error) {
 	faults := fault.Plan{"tau1": fault.OverrunEvery{First: 1, K: 2, Extra: extra}}
 

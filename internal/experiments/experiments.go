@@ -334,21 +334,12 @@ type SweepPoint struct {
 	Tau3Failed   int
 }
 
-// FaultMagnitudeSweep generalizes Figures 3–7 (extension X2): it
+// FaultMagnitudeSweepCtx generalizes Figures 3–7 (extension X2): it
 // sweeps the injected overrun of τ1's job 5 from 0 to max in steps,
 // for every treatment, reporting the system success ratio and the
-// collateral failures of the lower-priority tasks.
-//
-// Deprecated: use FaultMagnitudeSweepCtx (or the "x2" entry of the
-// repro/sim experiment registry), which adds cancellation and
-// parallel execution.
-func FaultMagnitudeSweep(maxExtra, step vtime.Duration) ([]SweepPoint, error) {
-	return FaultMagnitudeSweepCtx(context.Background(), maxExtra, step, RunOptions{})
-}
-
-// FaultMagnitudeSweepCtx is FaultMagnitudeSweep with cancellation and
-// parallel execution: every (magnitude, treatment) point is an
-// independent simulation submitted to the runner pool.
+// collateral failures of the lower-priority tasks. Every (magnitude,
+// treatment) point is an independent simulation submitted to the
+// runner pool.
 func FaultMagnitudeSweepCtx(ctx context.Context, maxExtra, step vtime.Duration, opt RunOptions) ([]SweepPoint, error) {
 	treatments := []detect.Treatment{
 		detect.NoDetection, detect.DetectOnly, detect.Stop,
@@ -411,20 +402,11 @@ type ResolutionPoint struct {
 	Collateral int
 }
 
-// TimerResolutionSweep (extension X3) reruns the Figure 5–7 scenarios
-// under detector quantizations of 0 (exact), 1, 5 and 10 ms,
+// TimerResolutionSweepCtx (extension X3) reruns the Figure 5–7
+// scenarios under detector quantizations of 0 (exact), 1, 5 and 10 ms,
 // measuring how much CPU the faulty task obtained and whether the
-// quantization-induced delay caused collateral misses.
-//
-// Deprecated: use TimerResolutionSweepCtx (or the "x3" entry of the
-// repro/sim experiment registry), which adds cancellation and
-// parallel execution.
-func TimerResolutionSweep() ([]ResolutionPoint, error) {
-	return TimerResolutionSweepCtx(context.Background(), RunOptions{})
-}
-
-// TimerResolutionSweepCtx is TimerResolutionSweep over the runner
-// pool, one simulation per (resolution, treatment) point.
+// quantization-induced delay caused collateral misses. It runs one
+// simulation per (resolution, treatment) point over the runner pool.
 func TimerResolutionSweepCtx(ctx context.Context, opt RunOptions) ([]ResolutionPoint, error) {
 	type job struct {
 		res vtime.Duration
@@ -468,22 +450,13 @@ type OverheadPoint struct {
 	TraceBytes int
 }
 
-// DetectorOverheadSweep (extension X1) quantifies the paper's §6.2
+// DetectorOverheadSweepCtx (extension X1) quantifies the paper's §6.2
 // remark — "the more tasks in the system, the more sensors, hence the
 // higher the influence of this overrun" — by running n-task systems
-// with and without detectors and comparing dispatch switches.
-//
-// Deprecated: use DetectorOverheadSweepCtx (or the "x1" entry of the
-// repro/sim experiment registry), which adds cancellation and
-// parallel execution.
-func DetectorOverheadSweep(sizes []int, seed uint64) ([]OverheadPoint, error) {
-	return DetectorOverheadSweepCtx(context.Background(), sizes, seed, RunOptions{})
-}
-
-// DetectorOverheadSweepCtx is DetectorOverheadSweep over the runner
-// pool. Each (size, detectors) point regenerates its task set from a
-// fresh Generator seeded identically, so no job shares RNG state yet
-// both detector settings of a size see the very same system.
+// with and without detectors and comparing dispatch switches, over
+// the runner pool. Each (size, detectors) point regenerates its task
+// set from a fresh Generator seeded identically, so no job shares RNG
+// state yet both detector settings of a size see the very same system.
 func DetectorOverheadSweepCtx(ctx context.Context, sizes []int, seed uint64, opt RunOptions) ([]OverheadPoint, error) {
 	type job struct {
 		n       int
@@ -534,29 +507,20 @@ type AcceptancePoint struct {
 	ExactAccpt float64
 }
 
-// AcceptanceSweep (extension X5) measures, over random implicit-
+// AcceptanceSweepCtx (extension X5) measures, over random implicit-
 // deadline task sets, the acceptance ratio of the Liu–Layland bound,
 // the hyperbolic bound and the exact response-time test at each
 // utilization level — the classical justification for implementing
 // Figure 2 rather than relying on Eq. 1.
-// Note: since the runner refactor each level draws from its own
-// derived seed (see AcceptanceSweepCtx), so the sampled task sets —
-// and hence the exact ratios — differ from artefacts generated
-// before that change; the dominance and monotonicity properties the
-// tests pin are seed-independent.
 //
-// Deprecated: use AcceptanceSweepCtx (or the "x5" entry of the
-// repro/sim experiment registry), which adds cancellation and
-// parallel execution.
-func AcceptanceSweep(levels []float64, perLevel int, n int, seed uint64) ([]AcceptancePoint, error) {
-	return AcceptanceSweepCtx(context.Background(), levels, perLevel, n, seed, RunOptions{})
-}
-
-// AcceptanceSweepCtx is AcceptanceSweep over the runner pool, one job
-// per utilization level. Each level draws its task sets from its own
+// The sweep runs over the runner pool, one job per utilization level.
+// Each level draws its task sets from its own
 // runner.DeriveSeed(seed, level) stream instead of one generator
 // shared across levels, so levels are independent of execution order
-// and the sweep renders identically at any parallelism.
+// and the sweep renders identically at any parallelism. Since the
+// runner refactor the sampled task sets — and hence the exact ratios
+// — differ from artefacts generated before that change; the dominance
+// and monotonicity properties the tests pin are seed-independent.
 func AcceptanceSweepCtx(ctx context.Context, levels []float64, perLevel int, n int, seed uint64, opt RunOptions) ([]AcceptancePoint, error) {
 	return runner.Map(ctx, opt.pool(), levels, func(_ context.Context, i int, u float64) (AcceptancePoint, error) {
 		gen := taskset.NewGenerator(runner.DeriveSeed(seed, i))

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -138,7 +139,7 @@ func TestFigureEnumHelpers(t *testing.T) {
 }
 
 func TestFaultMagnitudeSweepShape(t *testing.T) {
-	points, err := FaultMagnitudeSweep(ms(45), ms(15))
+	points, err := FaultMagnitudeSweepCtx(context.Background(), ms(45), ms(15), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestFaultMagnitudeSweepShape(t *testing.T) {
 }
 
 func TestTimerResolutionSweep(t *testing.T) {
-	points, err := TimerResolutionSweep()
+	points, err := TimerResolutionSweepCtx(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestTimerResolutionSweep(t *testing.T) {
 }
 
 func TestDetectorOverheadSweep(t *testing.T) {
-	points, err := DetectorOverheadSweep([]int{2, 4}, 7)
+	points, err := DetectorOverheadSweepCtx(context.Background(), []int{2, 4}, 7, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestDetectorOverheadSweep(t *testing.T) {
 }
 
 func TestAcceptanceSweepDominance(t *testing.T) {
-	points, err := AcceptanceSweep([]float64{0.5, 0.7, 0.9}, 40, 4, 11)
+	points, err := AcceptanceSweepCtx(context.Background(), []float64{0.5, 0.7, 0.9}, 40, 4, 11, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,7 @@ func TestBlockingSweepRender(t *testing.T) {
 }
 
 func TestBaselineComparisonShape(t *testing.T) {
-	points, err := BaselineComparison(ms(50), 3*vtime.Second)
+	points, err := BaselineComparisonCtx(context.Background(), ms(50), 3*vtime.Second, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

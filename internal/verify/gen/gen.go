@@ -63,7 +63,7 @@ func Scenario(seed uint64) scenario.Scenario {
 	}
 	// Overload scenarios (deliberately infeasible, admission skipped)
 	// exercise the shedding paths of the overload baselines and the
-	// bare-engine backlog handling; they require treatment none.
+	// backlog handling without admission; they require treatment none.
 	overload := treatment == "none" && r.Float64() < 0.35
 
 	n := 2 + r.Intn(5) // 2..6 tasks
@@ -147,7 +147,7 @@ func Scenario(seed uint64) scenario.Scenario {
 	if treatment == "none" && len(sc.Servers) == 0 &&
 		(policy == "fixed-priority" || policy == "edf") && r.Float64() < 0.30 {
 		sc.CPUs = []int{2, 4, 8}[r.Intn(3)]
-		// cpus > 1 runs the bare engine unconditionally; the codec
+		// cpus > 1 skips admission control unconditionally; the codec
 		// rejects a redundant skip_admission.
 		sc.SkipAdmission = false
 		if r.Float64() < 0.5 {
@@ -165,8 +165,8 @@ func Scenario(seed uint64) scenario.Scenario {
 
 	// Arrival-source draw, after the multicore draw so every logged
 	// seed keeps the exact scenario it has always produced and at most
-	// gains an arrivals block. Task-targeted sources ride the bare
-	// engine only — the codec's skip_admission rule — so the draw is
+	// gains an arrivals block. Task-targeted sources require
+	// skip_admission — the codec's rule — so the draw is
 	// gated on the overload path (which the multicore draw, when it
 	// fired, has already cleared).
 	if sc.SkipAdmission && r.Float64() < 0.5 {

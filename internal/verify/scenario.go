@@ -17,8 +17,8 @@ import (
 // budgets of servers whose demand is not perturbed by a declared
 // fault, and — on multiprocessor scenarios — the CPU count plus the
 // partitioned task→core assignment, recomputed by the same bin
-// packing the run uses. It is how a decoded trace on disk is
-// replayed semantically.
+// packing the run uses. It is how sim arms the oracle on a run, and
+// how a decoded trace on disk is replayed semantically.
 func ForScenario(sc *scenario.Scenario) (*Checker, error) {
 	set, err := sc.TaskSet()
 	if err != nil {
@@ -27,7 +27,7 @@ func ForScenario(sc *scenario.Scenario) (*Checker, error) {
 	cfg := Config{
 		Tasks:         set,
 		Policy:        sc.Policy,
-		ServerBudgets: ServerBudgets(sc),
+		ServerBudgets: serverBudgets(sc),
 		ContextSwitch: sc.ContextSwitch.D(),
 		Horizon:       vtime.Time(sc.Horizon),
 		CPUs:          sc.CPUs,
@@ -63,7 +63,7 @@ func ForScenario(sc *scenario.Scenario) (*Checker, error) {
 		return nil, err
 	}
 	if tr != detect.NoDetection {
-		cfg.DetectorOffsets, err = DetectorOffsets(set, tr, sc.TimerResolution.D())
+		cfg.DetectorOffsets, err = detectorOffsets(set, tr, sc.TimerResolution.D())
 		if err != nil {
 			return nil, err
 		}
@@ -71,10 +71,10 @@ func ForScenario(sc *scenario.Scenario) (*Checker, error) {
 	return New(cfg)
 }
 
-// DetectorOffsets derives the latest-detection bound of every task —
+// detectorOffsets derives the latest-detection bound of every task —
 // the per-period detector offset the supervisor arms: the WCRT (or
 // the equitable shifted WCRT), quantized up to the timer resolution.
-func DetectorOffsets(set *taskset.Set, tr detect.Treatment, resolution vtime.Duration) (map[string]vtime.Duration, error) {
+func detectorOffsets(set *taskset.Set, tr detect.Treatment, resolution vtime.Duration) (map[string]vtime.Duration, error) {
 	sup, err := detect.NewSupervisor(set, detect.Config{Treatment: tr, TimerResolution: resolution})
 	if err != nil {
 		return nil, fmt.Errorf("verify: deriving detector offsets: %w", err)
@@ -88,11 +88,11 @@ func DetectorOffsets(set *taskset.Set, tr detect.Treatment, resolution vtime.Dur
 	return offs, nil
 }
 
-// ServerBudgets maps each declared polling server to its per-job
+// serverBudgets maps each declared polling server to its per-job
 // capacity — except servers targeted by a declared fault entry, whose
 // demand is deliberately perturbed beyond the declaration (a "buggy
 // server" scenario) and therefore exempt from the budget axiom.
-func ServerBudgets(sc *scenario.Scenario) map[string]vtime.Duration {
+func serverBudgets(sc *scenario.Scenario) map[string]vtime.Duration {
 	if len(sc.Servers) == 0 {
 		return nil
 	}

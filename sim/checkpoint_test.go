@@ -243,12 +243,35 @@ func TestCheckpointableGenerator(t *testing.T) {
 		if sc.Treatment != "none" || len(sc.Servers) != 0 || sc.Policy == "d-over" || !sc.Streaming() {
 			t.Fatalf("seed %d: non-checkpointable scenario %+v", seed, sc)
 		}
-		sys, err := FromScenario(sc)
-		if err != nil {
+		if _, err := FromScenario(sc); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := sys.checkpointable(); err != nil {
+		if err := sc.Checkpointable(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+	}
+}
+
+// TestCheckpointRejectsArrivalsBeforeSimulating is the regression
+// for checkpointed runs silently dropping task-targeted arrival
+// sources: the split run must refuse up front, with nothing spilled.
+func TestCheckpointRejectsArrivalsBeforeSimulating(t *testing.T) {
+	sys, err := Load(scenarioPath("open-arrivals.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := sys.Scenario()
+	sc.Collect = &Collect{Mode: CollectStream}
+	if sys, err = FromScenario(sc); err != nil {
+		t.Fatal(err)
+	}
+	var spill bytes.Buffer
+	sys.SpillTrace(&spill)
+	_, err = sys.RunToCheckpoint(sc.Horizon / 2)
+	if err == nil || !strings.Contains(err.Error(), "arrivals") {
+		t.Fatalf("RunToCheckpoint = %v, want a rejection naming arrivals", err)
+	}
+	if spill.Len() != 0 {
+		t.Errorf("rejected checkpoint spilled %d bytes; it must fail before simulating", spill.Len())
 	}
 }

@@ -46,9 +46,8 @@ func FromTraceRecord(r taskset.TraceRecord) TraceRecord {
 
 // Arrival declares one arrival source. Exactly one of Task / Server
 // names the target: a task-targeted source replaces that periodic
-// task's release law (open arrivals on the bare engine — requires
-// skip_admission, since stochastic releases have no periodic
-// admission analysis), while a server-targeted source feeds a polling
+// task's release law (open arrivals — requires skip_admission,
+// since stochastic releases have no periodic admission analysis), while a server-targeted source feeds a polling
 // server's aperiodic request stream (the server task itself stays
 // periodic and admission-analysable). Kind selects the source; as
 // with faults, a field the kind/target combination does not read must
@@ -79,7 +78,7 @@ type Arrival struct {
 // validateArrivals checks the arrivals block structurally: known
 // kinds, exactly-one target that exists, at most one source per
 // target, per-kind field relevance, and the platform restrictions
-// (task sources ride the bare engine, server sources need a server
+// (task sources skip admission control, server sources need a server
 // with no static request schedule).
 func (sc *Scenario) validateArrivals() error {
 	if len(sc.Arrivals) == 0 {

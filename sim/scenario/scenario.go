@@ -271,9 +271,10 @@ type Scenario struct {
 	// Seed drives the run's randomness: the §4.1 stop jitter, and
 	// any jitter fault that does not carry its own seed.
 	Seed uint64 `json:"seed,omitempty"`
-	// SkipAdmission runs the bare engine without the paper's
-	// admission control — required for overload scenarios that are
-	// deliberately infeasible. Only valid with Treatment none.
+	// SkipAdmission runs without the paper's admission control (and
+	// so without allowance analysis or detectors) — required for
+	// overload scenarios that are deliberately infeasible. Only valid
+	// with Treatment none.
 	SkipAdmission bool `json:"skip_admission,omitempty"`
 	// Collect selects run-data retention (nil = retain everything).
 	// Streaming collection cannot combine with servers: the aperiodic
@@ -352,46 +353,32 @@ func (sc *Scenario) Validate() error {
 			return fmt.Errorf("scenario: collect mode %q cannot combine with servers: aperiodic service analysis needs the retained log", CollectStream)
 		}
 	}
-	if err := sc.validateFastForward(); err != nil {
-		return err
+	if sc.FastForward {
+		return sc.features().FastForwardable("scenario: fast_forward")
 	}
 	return nil
 }
 
-// validateFastForward pins the fast_forward eligibility grammar: the
-// flag may only combine with configurations whose hyperperiod cycles
-// provably repeat and whose observers tolerate the analytic jump.
-func (sc *Scenario) validateFastForward() error {
-	if !sc.FastForward {
-		return nil
+// features describes the scenario to the eligibility table.
+func (sc *Scenario) features() engine.Features {
+	return engine.Features{
+		Retain:      !sc.Streaming(),
+		Detectors:   !treatmentIsNone(sc.Treatment),
+		Faults:      len(sc.Faults) > 0,
+		Servers:     len(sc.Servers) > 0,
+		Sources:     len(sc.Arrivals) > 0,
+		StopJitter:  sc.StopJitterMax > 0,
+		Oracle:      sc.Verify,
+		Policy:      sc.Policy,
+		FastForward: sc.FastForward,
 	}
-	if !sc.Streaming() {
-		return fmt.Errorf("scenario: fast_forward requires collect mode %q", CollectStream)
-	}
-	if !treatmentIsNone(sc.Treatment) {
-		return fmt.Errorf("scenario: fast_forward requires treatment none (detector timers re-arm every period), got %q", sc.Treatment)
-	}
-	if len(sc.Faults) > 0 {
-		return fmt.Errorf("scenario: fast_forward cannot combine with faults (fault arrivals break hyperperiod periodicity)")
-	}
-	if len(sc.Servers) > 0 {
-		return fmt.Errorf("scenario: fast_forward cannot combine with servers (aperiodic arrivals break hyperperiod periodicity)")
-	}
-	if len(sc.Arrivals) > 0 {
-		return fmt.Errorf("scenario: fast_forward cannot combine with arrivals (source-driven releases have no hyperperiod)")
-	}
-	if sc.StopJitterMax > 0 {
-		return fmt.Errorf("scenario: fast_forward cannot combine with stop_jitter_max (random draws break hyperperiod periodicity)")
-	}
-	if sc.Verify {
-		return fmt.Errorf("scenario: fast_forward cannot combine with verify (extrapolated cycles emit no events to check)")
-	}
-	switch sc.Policy {
-	case "", "fixed-priority", "edf":
-	default:
-		return fmt.Errorf("scenario: fast_forward requires an order-only policy (fixed-priority or edf), got %q — stateful overload policies are not covered by the cycle fingerprint", sc.Policy)
-	}
-	return nil
+}
+
+// Checkpointable reports whether a run of the scenario can be split
+// at a checkpoint (sim.System.RunToCheckpoint): nil, or the
+// eligibility table's reason.
+func (sc *Scenario) Checkpointable() error {
+	return sc.features().Checkpointable("scenario: checkpointing")
 }
 
 // validateMulticore checks the cpus/placement/partitioner axis: the

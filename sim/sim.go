@@ -19,7 +19,8 @@
 //     s, err := sim.Load("testdata/scenarios/figure5.json")
 //     res, err := s.Run()
 //
-// Both compile into the same internal core.System, so a scenario file
+// Both compile into the same internal core.System — every run,
+// admitted or not, fresh, checkpointed or resumed — so a scenario file
 // and the equivalent builder calls produce byte-identical traces.
 //
 // The package also hosts two name→factory registries: scheduling
@@ -225,9 +226,9 @@ func WithSeed(seed uint64) Option {
 	return func(sc *Scenario) error { sc.Seed = seed; return nil }
 }
 
-// WithoutAdmission skips the paper's admission control and runs the
-// bare engine — required for deliberately overloaded scenarios. Only
-// valid with treatment none.
+// WithoutAdmission skips the paper's admission control (and with it
+// the allowance analysis and the detector supervisor) — required for
+// deliberately overloaded scenarios. Only valid with treatment none.
 func WithoutAdmission() Option {
 	return func(sc *Scenario) error { sc.SkipAdmission = true; return nil }
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/verify/gen"
 	"repro/internal/vtime"
 )
 
@@ -275,5 +276,29 @@ func TestParseTreatment(t *testing.T) {
 	}
 	if _, err := ParseTreatment("explode"); err == nil {
 		t.Error("unknown treatment must error")
+	}
+}
+
+// TestDetectorArmOrderDeterministic pins run-to-run determinism of
+// simultaneous detector fires: this generated scenario's stop-jitter
+// draws follow the detector order, which once came from map iteration
+// and varied between runs of the same document.
+func TestDetectorArmOrderDeterministic(t *testing.T) {
+	sc := gen.Scenario(0xf88cd6fb53694ca3)
+	var first string
+	for i := 0; i < 50; i++ {
+		sys, err := FromScenario(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = res.Summary()
+		} else if got := res.Summary(); got != first {
+			t.Fatalf("run %d renders a different report:\n%s\nvs the first run's\n%s", i, got, first)
+		}
 	}
 }

@@ -49,8 +49,7 @@ func (s *System) SetVerify(on bool) { s.sc.Verify = on }
 // system (the post-load equivalent of WithFastForward or the
 // scenario's "fast_forward": true — how cmd/rtrun -fast-forward arms
 // it on a loaded file). Unlike SetVerify it can fail: the scenario
-// must satisfy the fast_forward eligibility grammar (streaming
-// collection, treatment none, no faults, servers or stop jitter).
+// must satisfy the fast-forward eligibility table (engine.Features).
 func (s *System) SetFastForward(on bool) error {
 	s.sc.FastForward = on
 	return s.sc.Validate()
@@ -62,8 +61,7 @@ func (s *System) SetFastForward(on bool) error {
 // so a long-horizon run reports roughly horizon/every times. The
 // callback runs synchronously on the engine goroutine — keep it fast
 // and non-blocking (rtserved's SSE progress stream hands the value to
-// a channel). every must be positive; fn nil disarms. Resumed
-// (checkpoint) runs ignore it.
+// a channel). every must be positive; fn nil disarms.
 func (s *System) ObserveProgress(every Duration, fn func(at Duration)) {
 	if fn == nil || every.D() <= 0 {
 		s.progress = nil
@@ -156,17 +154,80 @@ func Policies() []string { return engine.PolicyNames() }
 // Run compiles the scenario and simulates it to the horizon. On a
 // System built by Resume it continues the checkpointed run instead.
 func (s *System) Run() (*RunResult, error) {
-	if s.resume != nil {
-		return s.runResumed()
-	}
-	sc := s.sc
-	set, err := taskset.New(taskSlice(sc.Tasks)...)
+	spill, sink := s.sinks()
+	cfg, servers, err := s.compile(sink)
 	if err != nil {
 		return nil, err
+	}
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		return nil, err
+	}
+	var r *core.Result
+	if s.resume != nil {
+		r, err = sys.RunFrom(&core.CheckpointState{Engine: s.resume.Engine, Metrics: s.resume.Metrics})
+	} else {
+		r, err = sys.Run()
+	}
+	if err != nil {
+		// An invariant-oracle failure surfaces here after the engine
+		// ran: the spilled trace of the violating run is exactly the
+		// debugging artefact, so flush it before failing (the run
+		// error takes precedence over a flush failure).
+		_ = flushSpill(spill)
+		return nil, err
+	}
+	if err := flushSpill(spill); err != nil {
+		return nil, err
+	}
+	res := &RunResult{
+		Scenario:      s.sc,
+		Log:           r.Log,
+		Report:        r.Report,
+		Admission:     r.Admission,
+		Allowance:     r.Allowance,
+		Detections:    r.Detections,
+		Switches:      r.Switches,
+		SkippedCycles: r.SkippedCycles,
+	}
+	if len(servers) > 0 {
+		res.Served = make(map[string][]aperiodic.Served, len(servers))
+		for name, ps := range servers {
+			res.Served[name] = ps.Analyze(res.Log)
+		}
+	}
+	return res, nil
+}
+
+// sinks builds the run's trace observers: the spill writer (nil
+// unless SpillTrace was set) and the chain core receives as its
+// TraceSink.
+func (s *System) sinks() (*trace.WriterSink, trace.Sink) {
+	var spill *trace.WriterSink
+	var sink trace.Sink
+	if s.spill != nil {
+		spill = trace.NewWriterSink(s.spill)
+		sink = spill
+	}
+	if s.progress != nil {
+		sink = trace.Tee(s.progress, sink)
+	}
+	return spill, sink
+}
+
+// compile maps the scenario onto core.Config — the one place a
+// Scenario becomes a runnable system, for fresh, checkpointed and
+// resumed runs alike. It also returns the attached polling servers by
+// task name, whose service outcomes Run analyzes afterwards.
+func (s *System) compile(sink trace.Sink) (core.Config, map[string]*aperiodic.PollingServer, error) {
+	sc := &s.sc
+	set, err := taskset.New(taskSlice(sc.Tasks)...)
+	if err != nil {
+		return core.Config{}, nil, err
 	}
 	plan, err := sc.FaultPlan()
 	if err != nil {
-		return nil, err
+		return core.Config{}, nil, err
 	}
 	// Attach each polling server: its task joins the set, its queue
 	// model joins the plan. A fault entry declared on a server task
@@ -180,7 +241,7 @@ func (s *System) Run() (*RunResult, error) {
 		// compiles the polling model — the model replays a static
 		// schedule, so the source resolves here, once, deterministically.
 		if reqs, err := sc.ServerRequests(ps.Task.Name); err != nil {
-			return nil, err
+			return core.Config{}, nil, err
 		} else if reqs != nil {
 			ps.Requests = reqs
 		}
@@ -188,7 +249,7 @@ func (s *System) Run() (*RunResult, error) {
 		delete(plan, ps.Task.Name)
 		set, plan, err = ps.Attach(set, plan)
 		if err != nil {
-			return nil, err
+			return core.Config{}, nil, err
 		}
 		if _, isNone := declared.(fault.None); !isNone {
 			plan[ps.Task.Name] = fault.Chain{plan[ps.Task.Name], declared}
@@ -197,162 +258,65 @@ func (s *System) Run() (*RunResult, error) {
 	}
 	tr, err := ParseTreatment(sc.Treatment)
 	if err != nil {
-		return nil, err
+		return core.Config{}, nil, err
 	}
 	pol, err := engine.NewPolicy(sc.Policy)
 	if err != nil {
-		return nil, err
+		return core.Config{}, nil, err
 	}
 	collect := engine.Retain
 	if sc.Streaming() {
 		collect = engine.Stream
 	}
-	var spill *trace.WriterSink
-	var sink trace.Sink
-	if s.spill != nil {
-		spill = trace.NewWriterSink(s.spill)
-		sink = spill
+	// Multiprocessor placement: partitioned runs are admitted per core
+	// by the bin packing itself (nil for global and uniprocessor runs).
+	partition, err := sc.Partition()
+	if err != nil {
+		return core.Config{}, nil, err
 	}
-	if s.progress != nil {
-		sink = trace.Tee(s.progress, sink)
+	// Task-targeted arrival sources; the slice aligns with the set:
+	// periodic tasks first, then server tasks (nil there).
+	sources, err := sc.TaskSources()
+	if err != nil {
+		return core.Config{}, nil, err
 	}
-	res := &RunResult{Scenario: sc}
-	if sc.SkipAdmission || sc.CPUs > 1 {
-		// Bare-engine path: overload scenarios skip the uniprocessor
-		// admission control deliberately; multiprocessor runs have no
-		// uniprocessor admission test to apply (partitioned placement
-		// is admitted per core by the bin packing in sc.Partition).
-		partition, err := sc.Partition()
-		if err != nil {
-			return nil, err
-		}
-		// Task-targeted arrival sources (validation pins them to
-		// skip_admission, hence to this path). The slice aligns with
-		// the set: periodic tasks first, then server tasks (nil there).
-		sources, err := sc.TaskSources()
-		if err != nil {
-			return nil, err
-		}
-		var acc *metrics.Accumulator
-		if collect == engine.Stream {
-			acc = metrics.NewAccumulator()
-			sink = trace.Tee(acc, sink)
-		}
-		// The bare-engine path wires fast-forward itself (no core System
-		// exists to do it). The skipped cycles produce no trace events,
-		// so a spill or progress observer would see a hole — refuse the
-		// combination like core's TraceSink check does.
-		var obs engine.CycleObserver
-		if sc.FastForward {
-			if s.spill != nil || s.progress != nil {
-				return nil, fmt.Errorf("sim: fast-forward cannot combine with a trace spill or progress observer (extrapolated cycles produce no events)")
-			}
-			obs = acc
-		}
-		var chk *verify.Checker
-		if sc.Verify {
-			// The bare-engine path wires the oracle itself (no core
-			// System exists to do it); treatment is necessarily none
-			// here, so no detector offsets apply. The admitted-system
-			// twin lives in core.RunWith — change both together.
-			chk, err = verify.ForScenario(&sc)
-			if err != nil {
-				return nil, err
-			}
-			sink = trace.Tee(chk, sink)
-		}
-		eng, err := engine.New(engine.Config{
-			Tasks:         set,
-			Sources:       sources,
-			Faults:        plan,
-			End:           vtime.Time(sc.Horizon),
-			Policy:        pol,
-			StopPoll:      sc.StopPoll.D(),
-			StopJitterMax: sc.StopJitterMax.D(),
-			Seed:          sc.Seed,
-			ContextSwitch: sc.ContextSwitch.D(),
-			Collect:       collect,
-			Sink:          sink,
-			CPUs:          sc.CPUs,
-			Partition:     partition,
-			FastForward:   sc.FastForward,
-			Observer:      obs,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Log = eng.Run()
-		if chk != nil {
-			if verr := chk.FinishErr(); verr != nil {
-				// Flush the spill before failing: the spilled trace of
-				// the violating run is exactly the debugging artefact.
-				flushSpill(spill)
-				return nil, fmt.Errorf("sim: invariant oracle: %w", verr)
-			}
-		}
-		if acc != nil {
-			res.Report = acc.Report()
-		} else {
-			res.Report = metrics.Analyze(res.Log)
-		}
-		res.Switches = eng.Switches()
-		res.SkippedCycles = eng.SkippedCycles()
-	} else {
-		sys, err := core.NewSystem(core.Config{
-			Tasks:               set,
-			Treatment:           tr,
-			Faults:              plan,
-			Horizon:             sc.Horizon.D(),
-			TimerResolution:     sc.TimerResolution.D(),
-			StopPoll:            sc.StopPoll.D(),
-			StopJitterMax:       sc.StopJitterMax.D(),
-			Seed:                sc.Seed,
-			ContextSwitch:       sc.ContextSwitch.D(),
-			Policy:              pol,
-			Collect:             collect,
-			TraceSink:           sink,
-			Verify:              sc.Verify,
-			VerifyServerBudgets: verify.ServerBudgets(&sc),
-			FastForward:         sc.FastForward,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r, err := sys.Run()
-		if err != nil {
-			// An invariant-oracle failure surfaces here after the
-			// engine ran: keep whatever trace was spilled.
-			flushSpill(spill)
-			return nil, err
-		}
-		res.Log = r.Log
-		res.Report = r.Report
-		res.Admission = r.Admission
-		res.Allowance = r.Allowance
-		res.Detections = r.Detections
-		res.Switches = r.Switches
-		res.SkippedCycles = r.SkippedCycles
-	}
-	if spill != nil {
-		if err := spill.Flush(); err != nil {
-			return nil, fmt.Errorf("sim: spilling trace: %w", err)
+	var chk *verify.Checker
+	if sc.Verify {
+		if chk, err = verify.ForScenario(sc); err != nil {
+			return core.Config{}, nil, err
 		}
 	}
-	if len(servers) > 0 {
-		res.Served = make(map[string][]aperiodic.Served, len(servers))
-		for name, ps := range servers {
-			res.Served[name] = ps.Analyze(res.Log)
-		}
-	}
-	return res, nil
+	return core.Config{
+		Tasks:           set,
+		Treatment:       tr,
+		Faults:          plan,
+		Horizon:         sc.Horizon.D(),
+		TimerResolution: sc.TimerResolution.D(),
+		StopPoll:        sc.StopPoll.D(),
+		StopJitterMax:   sc.StopJitterMax.D(),
+		Seed:            sc.Seed,
+		ContextSwitch:   sc.ContextSwitch.D(),
+		Policy:          pol,
+		Collect:         collect,
+		TraceSink:       sink,
+		FastForward:     sc.FastForward,
+		SkipAdmission:   sc.SkipAdmission,
+		CPUs:            sc.CPUs,
+		Partition:       partition,
+		Sources:         sources,
+		Checker:         chk,
+	}, servers, nil
 }
 
-// flushSpill drains the spill sink on an error path, best effort —
-// the run error takes precedence over a flush failure.
-func flushSpill(spill *trace.WriterSink) {
-	if spill != nil {
-		_ = spill.Flush()
+// flushSpill drains the spill sink (nil when no spill was set).
+func flushSpill(spill *trace.WriterSink) error {
+	if spill == nil {
+		return nil
 	}
+	if err := spill.Flush(); err != nil {
+		return fmt.Errorf("sim: spilling trace: %w", err)
+	}
+	return nil
 }
 
 func taskSlice(specs []Task) []taskset.Task {

@@ -120,11 +120,16 @@ x15:
 serve-smoke:
 	scripts/serve_smoke.sh
 
-# Short native-fuzz smoke over the scenario space, the log codec, and
-# the checkpoint split/resume differential.
+# Short native-fuzz smoke over the scenario space, the log codec, the
+# checkpoint split/resume differential, and rtserved's answers to a
+# repeated body. FuzzServeRepeat's inputs are whole scenario documents,
+# some KiB each: minimizing every new-coverage one for the default 60s
+# would spend the smoke's budget shrinking instead of fuzzing, so its
+# minimization is capped.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScenario -fuzztime 10s ./internal/verify/gen
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzCheckpoint -fuzztime 10s ./internal/verify/gen
+	$(GO) test -run '^$$' -fuzz FuzzServeRepeat -fuzztime 10s -fuzzminimizetime 100x ./internal/serve
 
 ci: build vet fmt-check script-lint perfbench-check race bench-json bench-gate x11 x12 x13 x14 x15 serve-smoke

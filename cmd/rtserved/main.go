@@ -5,7 +5,9 @@
 // local `rtrun -scenario` run prints — deduplicated through a
 // content-addressed result cache (scenario.Digest: SHA-256 of the
 // canonical bytes + schema version), so N identical in-flight
-// requests cost one simulation and repeats cost zero.
+// requests cost one simulation and repeats cost zero. A byte-identical
+// repeat is not even decoded: a memo of raw-body hashes leads it
+// straight to its cached result.
 //
 // Usage:
 //
@@ -59,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		addr     = fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 		workers  = fs.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
 		queue    = fs.Int("queue", 0, "accept-queue bound; full = HTTP 429 (0 = 2x workers)")
-		cacheN   = fs.Int("cache", 0, "max cached results, LRU-evicted (0 = 1024)")
+		cacheN   = fs.Int("cache", 0, "max cached results (and memoized request bodies), LRU-evicted (0 = 1024)")
 		check    = fs.Bool("check", false, "verify every served run against the scheduling invariants")
 		portFile = fs.String("port-file", "", "write the bound host:port to this file once listening")
 	)

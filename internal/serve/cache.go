@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"crypto/sha256"
 	"sync"
 )
 
@@ -98,12 +99,30 @@ func (e *entry) publish(p Progress) {
 // how many distinct scenarios arrive); in-flight entries live only in
 // the map and cannot be evicted, so singleflight rendezvous is never
 // lost mid-run.
+//
+// In front of it sits the body memo, the first level of a two-level
+// key: the SHA-256 of a raw request body maps to the digest its
+// decoded scenario had, so a byte-identical repeat finds its entry
+// without decoding or re-encoding. A body is memoized only once it
+// has decoded, validated and digested, so the memo can only ever
+// shortcut a request that would have reached the same entry anyway.
+// The memo is an LRU of at most max fixed-size records.
 type cache struct {
 	mu      sync.Mutex
 	max     int
 	entries map[string]*entry
 	lru     *list.List // completed digests, front = most recent
 	pos     map[string]*list.Element
+	memo    map[bodyKey]*list.Element
+	memoLRU *list.List // *memoRecord, front = most recent
+}
+
+// bodyKey is the SHA-256 of a raw request body.
+type bodyKey = [sha256.Size]byte
+
+type memoRecord struct {
+	body   bodyKey
+	digest string
 }
 
 func newCache(max int) *cache {
@@ -112,6 +131,49 @@ func newCache(max int) *cache {
 		entries: make(map[string]*entry),
 		lru:     list.New(),
 		pos:     make(map[string]*list.Element),
+		memo:    make(map[bodyKey]*list.Element),
+		memoLRU: list.New(),
+	}
+}
+
+// join returns the resident entry (completed or in flight) for a
+// memoized body, or nil when the body was never memoized or its
+// result has since been evicted or failed.
+func (c *cache) join(body bodyKey) *entry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.memo[body]
+	if !ok {
+		return nil
+	}
+	digest := el.Value.(*memoRecord).digest
+	e, ok := c.entries[digest]
+	if !ok {
+		return nil
+	}
+	c.memoLRU.MoveToFront(el)
+	if el, ok := c.pos[digest]; ok {
+		c.lru.MoveToFront(el)
+	}
+	return e
+}
+
+// memoize records that body decodes to a scenario with digest,
+// evicting the coldest record beyond max.
+func (c *cache) memoize(body bodyKey, digest string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.memo[body]; ok {
+		// A body always decodes to the same digest; only its
+		// recency changes.
+		c.memoLRU.MoveToFront(el)
+		return
+	}
+	c.memo[body] = c.memoLRU.PushFront(&memoRecord{body: body, digest: digest})
+	if c.memoLRU.Len() > c.max {
+		el := c.memoLRU.Back()
+		c.memoLRU.Remove(el)
+		delete(c.memo, el.Value.(*memoRecord).body)
 	}
 }
 

@@ -15,14 +15,15 @@ import (
 // so /metrics reports p50/p90/p99 in O(1/ε·log εn) memory however
 // long the server runs.
 type Metrics struct {
-	requests    atomic.Int64
-	simulate    atomic.Int64
-	hits        atomic.Int64
-	misses      atomic.Int64
-	throttled   atomic.Int64
-	badRequests atomic.Int64
-	runErrors   atomic.Int64
-	simulations atomic.Int64
+	requests       atomic.Int64
+	simulate       atomic.Int64
+	hits           atomic.Int64
+	decodesSkipped atomic.Int64
+	misses         atomic.Int64
+	throttled      atomic.Int64
+	badRequests    atomic.Int64
+	runErrors      atomic.Int64
+	simulations    atomic.Int64
 
 	mu      sync.Mutex
 	latency *gk.Sketch
@@ -52,6 +53,7 @@ type Snapshot struct {
 	RequestsTotal    int64           `json:"requests_total"`
 	SimulateRequests int64           `json:"simulate_requests"`
 	CacheHits        int64           `json:"cache_hits"`
+	DecodesSkipped   int64           `json:"decodes_skipped"` // hits on a byte-identical repeat, answered without decoding or digesting
 	CacheMisses      int64           `json:"cache_misses"`
 	Throttled        int64           `json:"throttled"`
 	BadRequests      int64           `json:"bad_requests"`

@@ -13,6 +13,15 @@
 //     invalidates every stale key. Completed results form an LRU
 //     bounded at Config.CacheEntries.
 //
+//     The key has two levels: raw-body SHA-256 → digest → result. A
+//     body that has once decoded, validated and digested is memoized
+//     (an LRU of at most Config.CacheEntries fixed-size records), so a
+//     byte-identical repeat whose result is still resident joins it
+//     without decoding or digesting again (counted in /metrics as
+//     decodes_skipped). Any other body — new, reformatted, or one
+//     whose result was evicted — takes the decode path, so the memo
+//     changes no answer.
+//
 //   - An admission/backpressure layer: simulations are scheduled onto
 //     a bounded runner.Pool, and when the accept queue is full the
 //     server answers 429 + Retry-After instead of queueing without
@@ -28,10 +37,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -146,6 +158,7 @@ func (s *Server) snapshot() Snapshot {
 		RequestsTotal:    s.met.requests.Load(),
 		SimulateRequests: s.met.simulate.Load(),
 		CacheHits:        s.met.hits.Load(),
+		DecodesSkipped:   s.met.decodesSkipped.Load(),
 		CacheMisses:      s.met.misses.Load(),
 		Throttled:        s.met.throttled.Load(),
 		BadRequests:      s.met.badRequests.Load(),
@@ -201,67 +214,70 @@ func (s *Server) throttle(w http.ResponseWriter) {
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBody())
-	sc, err := scenario.Decode(body)
+	body, err := readBody(w, r, s.cfg.maxBody())
 	if err != nil {
 		s.met.badRequests.Add(1)
+		// Worded as when scenario.Decode read the body itself.
+		msg := "scenario: decode: " + err.Error()
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			errorBody(w, http.StatusRequestEntityTooLarge, err.Error())
+			errorBody(w, http.StatusRequestEntityTooLarge, msg)
 			return
 		}
-		errorBody(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	// A path-referenced trace source is rejected outright: the digest
-	// covers only the scenario document, so the file's content is
-	// invisible to the cache key — two different traces behind the
-	// same path would alias one cache entry (and the path names a
-	// client-local file this server has no business reading anyway).
-	if sc.HasPathSource() {
-		s.met.badRequests.Add(1)
-		errorBody(w, http.StatusBadRequest, "trace arrival sources must inline their records (\"records\"): a \"path\" reference is not content-addressable")
-		return
-	}
-	digest, err := sc.Digest()
-	if err != nil {
-		s.met.badRequests.Add(1)
-		errorBody(w, http.StatusBadRequest, err.Error())
+		errorBody(w, http.StatusBadRequest, msg)
 		return
 	}
 
-	e, created := s.cache.lookup(digest)
-	if created {
-		// Singleflight owner: this request (alone) pays for admission.
-		// Everyone else for the same digest — concurrent or later —
-		// joins the entry without consuming a queue slot.
-		s.met.misses.Add(1)
-		job := func(ctx context.Context) {
-			s.met.simulations.Add(1)
-			res, rerr := s.run(ctx, sc, e.publish)
-			if rerr != nil {
-				s.met.runErrors.Add(1)
-			}
-			s.cache.completed(e, res, rerr)
-		}
-		if err := s.pool.TrySubmit(job); err != nil {
-			// Shed the load; the failed entry is removed so the next
-			// request retries, and any waiter that raced in sees
-			// errOverloaded and sheds too.
-			s.cache.completed(e, nil, errOverloaded)
-			s.throttle(w)
+	// A byte-identical repeat of a body that already reached a
+	// resident entry joins it directly: decoding and digesting it
+	// again could only arrive at the same entry.
+	key := sha256.Sum256(body)
+	e := s.cache.join(key)
+	created := false
+	if e != nil {
+		s.met.decodesSkipped.Add(1)
+	} else {
+		sc, digest, err := decodeScenario(body)
+		if err != nil {
+			s.met.badRequests.Add(1)
+			errorBody(w, http.StatusBadRequest, err.Error())
 			return
 		}
-	} else {
-		s.met.hits.Add(1)
+		s.cache.memoize(key, digest)
+		if e, created = s.cache.lookup(digest); created {
+			// Singleflight owner: this request (alone) pays for
+			// admission. Everyone else for the same digest —
+			// concurrent or later — joins the entry without
+			// consuming a queue slot.
+			s.met.misses.Add(1)
+			job := func(ctx context.Context) {
+				s.met.simulations.Add(1)
+				res, rerr := s.run(ctx, sc, e.publish)
+				if rerr != nil {
+					s.met.runErrors.Add(1)
+				}
+				s.cache.completed(e, res, rerr)
+			}
+			if err := s.pool.TrySubmit(job); err != nil {
+				// Shed the load; the failed entry is removed so the
+				// next request retries, and any waiter that raced in
+				// sees errOverloaded and sheds too.
+				s.cache.completed(e, nil, errOverloaded)
+				s.throttle(w)
+				return
+			}
+		}
 	}
 	cacheStatus := "miss"
 	if !created {
+		s.met.hits.Add(1)
 		cacheStatus = "hit"
 	}
 
-	if wantsSSE(r) {
-		s.streamSimulate(w, r, e, digest, cacheStatus)
+	q := r.URL.Query()
+	rawReport := q.Get("format") == "report"
+	if wantsSSE(r, q) {
+		s.streamSimulate(w, r, e, cacheStatus, rawReport)
 		return
 	}
 
@@ -284,7 +300,55 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		errorBody(w, http.StatusUnprocessableEntity, e.err.Error())
 		return
 	}
-	s.writeResult(w, r, e, digest, cacheStatus)
+	s.writeResult(w, e, cacheStatus, rawReport)
+}
+
+// readBody reads the whole request body, bounded by limit, into one
+// buffer presized from Content-Length (the io.ReadAll loop, without
+// its growth from 512 bytes).
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	size := int64(bytes.MinRead)
+	if n := r.ContentLength; n > 0 {
+		// +1 leaves room to read EOF without growing.
+		size = min(n, limit) + 1
+	}
+	buf := make([]byte, 0, size)
+	body := http.MaxBytesReader(w, r.Body, limit)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// decodeScenario turns a request body into the scenario to run and
+// its digest. Every error is the client's fault (a 400).
+func decodeScenario(body []byte) (*scenario.Scenario, string, error) {
+	sc, err := scenario.Decode(bytes.NewReader(body))
+	if err != nil {
+		return nil, "", err
+	}
+	// A path-referenced trace source is rejected outright: the digest
+	// covers only the scenario document, so the file's content is
+	// invisible to the cache key — two different traces behind the
+	// same path would alias one cache entry (and the path names a
+	// client-local file this server has no business reading anyway).
+	if sc.HasPathSource() {
+		return nil, "", errors.New("trace arrival sources must inline their records (\"records\"): a \"path\" reference is not content-addressable")
+	}
+	digest, err := sc.Digest()
+	if err != nil {
+		return nil, "", err
+	}
+	return sc, digest, nil
 }
 
 // envelope is the deterministic JSON response for one digest: rebuilt
@@ -309,11 +373,11 @@ func resultEnvelope(digest string, res *result) envelope {
 	}
 }
 
-func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, e *entry, digest, cacheStatus string) {
+func (s *Server) writeResult(w http.ResponseWriter, e *entry, cacheStatus string, rawReport bool) {
 	h := w.Header()
-	h.Set("X-Scenario-Digest", digest)
+	h.Set("X-Scenario-Digest", e.digest)
 	h.Set("X-Cache", cacheStatus)
-	if r.URL.Query().Get("format") == "report" {
+	if rawReport {
 		// The raw report: byte-equal to the summary `rtrun -scenario`
 		// prints, so `cmp` against the CLI works from a shell.
 		h.Set("Content-Type", "text/plain; charset=utf-8")
@@ -323,7 +387,7 @@ func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, e *entry, d
 	h.Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
-	enc.Encode(resultEnvelope(digest, e.res))
+	enc.Encode(resultEnvelope(e.digest, e.res))
 }
 
 // simulate is the real run function: scenario → sim.System → report.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -18,7 +19,7 @@ import (
 	"repro/sim/scenario"
 )
 
-func testScenarioJSON(t *testing.T, name string, seed uint64) []byte {
+func testScenarioJSON(t testing.TB, name string, seed uint64) []byte {
 	t.Helper()
 	sc := scenario.Scenario{
 		Name: name,
@@ -36,7 +37,46 @@ func testScenarioJSON(t *testing.T, name string, seed uint64) []byte {
 	return b
 }
 
-func post(t *testing.T, h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+// pathSourceJSON is a valid scenario whose trace arrival reads a file
+// path, which the service must refuse.
+func pathSourceJSON(t testing.TB) []byte {
+	t.Helper()
+	sc := scenario.Scenario{
+		Name: "path-trace",
+		Tasks: []scenario.Task{
+			{Name: "replay", Priority: 1, Period: scenario.Duration(vtime.Millis(20)), Deadline: scenario.Duration(vtime.Millis(20)), Cost: scenario.Duration(vtime.Millis(2))},
+		},
+		Arrivals:      []scenario.Arrival{{Task: "replay", Kind: scenario.ArrivalTrace, Path: "does-not-matter.jsonl"}},
+		Horizon:       scenario.Duration(vtime.Millis(100)),
+		SkipAdmission: true,
+	}
+	b, err := scenario.Marshal(&sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// infeasibleJSON is a valid scenario that admission control refuses,
+// so its run fails.
+func infeasibleJSON(t testing.TB) []byte {
+	t.Helper()
+	sc := scenario.Scenario{
+		Name: "infeasible",
+		Tasks: []scenario.Task{
+			{Name: "tau1", Priority: 2, Period: scenario.Duration(vtime.Millis(10)), Deadline: scenario.Duration(vtime.Millis(10)), Cost: scenario.Duration(vtime.Millis(6))},
+			{Name: "tau2", Priority: 1, Period: scenario.Duration(vtime.Millis(10)), Deadline: scenario.Duration(vtime.Millis(10)), Cost: scenario.Duration(vtime.Millis(6))},
+		},
+		Horizon: scenario.Duration(vtime.Millis(100)),
+	}
+	b, err := scenario.Marshal(&sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func post(t testing.TB, h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest("POST", path, bytes.NewReader(body))
 	rec := httptest.NewRecorder()
@@ -331,20 +371,7 @@ func TestThrottleRetryAfterCeiling(t *testing.T) {
 func TestPathSourceRejected(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
-	sc := scenario.Scenario{
-		Name: "path-trace",
-		Tasks: []scenario.Task{
-			{Name: "replay", Priority: 1, Period: scenario.Duration(vtime.Millis(20)), Deadline: scenario.Duration(vtime.Millis(20)), Cost: scenario.Duration(vtime.Millis(2))},
-		},
-		Arrivals:      []scenario.Arrival{{Task: "replay", Kind: scenario.ArrivalTrace, Path: "does-not-matter.jsonl"}},
-		Horizon:       scenario.Duration(vtime.Millis(100)),
-		SkipAdmission: true,
-	}
-	body, err := scenario.Marshal(&sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := post(t, s, "/v1/simulate", body)
+	rec := post(t, s, "/v1/simulate", pathSourceJSON(t))
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("path-source POST: status %d, want 400", rec.Code)
 	}
@@ -422,11 +449,17 @@ func parseSSE(t *testing.T, s string) map[string][]string {
 func TestBadRequests(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
-	for name, body := range map[string]string{
+	bodies := map[string]string{
 		"malformed":     "{not json",
 		"unknown-field": `{"tasks":[],"horizon":"1s","bogus":1}`,
 		"no-tasks":      `{"tasks":[],"horizon":"1s"}`,
-	} {
+		// A valid document followed by anything but whitespace is
+		// not that document.
+		"trailing-garbage":  string(testScenarioJSON(t, "trailing", 1)) + "garbage",
+		"trailing-document": string(testScenarioJSON(t, "trailing", 1)) + `{"x":1}`,
+		"trailing-brackets": string(testScenarioJSON(t, "trailing", 1)) + "]]]",
+	}
+	for name, body := range bodies {
 		t.Run(name, func(t *testing.T) {
 			rec := post(t, s, "/v1/simulate", []byte(body))
 			if rec.Code != http.StatusBadRequest {
@@ -434,8 +467,8 @@ func TestBadRequests(t *testing.T) {
 			}
 		})
 	}
-	if s.Metrics().BadRequests != 3 {
-		t.Errorf("bad_requests = %d, want 3", s.Metrics().BadRequests)
+	if got, want := s.Metrics().BadRequests, int64(len(bodies)); got != want {
+		t.Errorf("bad_requests = %d, want %d", got, want)
 	}
 	if s.Metrics().SimulationsRun != 0 {
 		t.Error("a bad request reached the simulator")
@@ -443,24 +476,53 @@ func TestBadRequests(t *testing.T) {
 
 	// Structurally valid but infeasible under admission control: the
 	// run fails deterministically → 422, not cached.
-	over := scenario.Scenario{
-		Name: "infeasible",
-		Tasks: []scenario.Task{
-			{Name: "tau1", Priority: 2, Period: scenario.Duration(vtime.Millis(10)), Deadline: scenario.Duration(vtime.Millis(10)), Cost: scenario.Duration(vtime.Millis(6))},
-			{Name: "tau2", Priority: 1, Period: scenario.Duration(vtime.Millis(10)), Deadline: scenario.Duration(vtime.Millis(10)), Cost: scenario.Duration(vtime.Millis(6))},
-		},
-		Horizon: scenario.Duration(vtime.Millis(100)),
-	}
-	b, err := scenario.Marshal(&over)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := post(t, s, "/v1/simulate", b)
+	rec := post(t, s, "/v1/simulate", infeasibleJSON(t))
 	if rec.Code != http.StatusUnprocessableEntity {
 		t.Errorf("infeasible scenario: status %d, want 422: %s", rec.Code, rec.Body.String())
 	}
 	if got := s.cache.len(); got != 0 {
 		t.Errorf("failed run left %d cache entries", got)
+	}
+}
+
+// TestBodyLimit pins the MaxBodyBytes bound, with and without a
+// Content-Length: a body at the limit is served, and one over it is a
+// 413 even when only its trailing newline lies beyond the limit.
+func TestBodyLimit(t *testing.T) {
+	body := testScenarioJSON(t, "limit", 1)
+	n := int64(len(body))
+	for _, tc := range []struct {
+		name  string
+		limit int64
+		chunk bool // no Content-Length
+		code  int
+	}{
+		{"at limit", n, false, http.StatusOK},
+		{"at limit, chunked", n, true, http.StatusOK},
+		{"newline over limit", n - 1, false, http.StatusRequestEntityTooLarge},
+		{"newline over limit, chunked", n - 1, true, http.StatusRequestEntityTooLarge},
+		{"document over limit", n / 2, false, http.StatusRequestEntityTooLarge},
+		{"document over limit, chunked", n / 2, true, http.StatusRequestEntityTooLarge},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{Workers: 1, MaxBodyBytes: tc.limit})
+			defer s.Close()
+			var r io.Reader = bytes.NewReader(body)
+			if tc.chunk {
+				r = io.MultiReader(r) // hides the length from NewRequest
+			}
+			req := httptest.NewRequest("POST", "/v1/simulate", r)
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, req)
+			if rec.Code != tc.code {
+				t.Fatalf("status %d, want %d: %s", rec.Code, tc.code, rec.Body.String())
+			}
+			if tc.code == http.StatusRequestEntityTooLarge {
+				if want := `{"error":"scenario: decode: http: request body too large"}` + "\n"; rec.Body.String() != want {
+					t.Errorf("body %q, want %q", rec.Body.String(), want)
+				}
+			}
+		})
 	}
 }
 
@@ -488,6 +550,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if snap.CacheMisses != 1 || snap.CacheHits != 2 {
 		t.Errorf("hits/misses = %d/%d, want 2/1", snap.CacheHits, snap.CacheMisses)
+	}
+	if snap.DecodesSkipped != 2 {
+		t.Errorf("decodes_skipped = %d, want 2 (both repeats were byte-identical)", snap.DecodesSkipped)
 	}
 	if snap.SimulationsRun != 1 {
 		t.Errorf("simulations_run = %d, want 1", snap.SimulationsRun)
@@ -517,4 +582,132 @@ func TestVerifyConfig(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("verified run: status %d: %s", rec.Code, rec.Body.String())
 	}
+}
+
+// TestBodyMemo pins the body memo in front of the result cache: only
+// a byte-identical repeat whose result is still resident skips
+// decoding, it answers exactly as the decode path would, bodies that
+// fail to decode are never memoized, and the memo stays within
+// CacheEntries records.
+func TestBodyMemo(t *testing.T) {
+	a := testScenarioJSON(t, "memo-a", 1)
+	b := testScenarioJSON(t, "memo-b", 2)
+	c := testScenarioJSON(t, "memo-c", 3)
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, a); err != nil {
+		t.Fatal(err)
+	}
+	aCompact := compact.Bytes()            // same scenario as a, other bytes
+	aPadded := append(bytes.Clone(a), ' ') // and a third encoding
+	invalid := []byte("{not json")
+	trailing := append(bytes.Clone(a), "garbage"...)
+	pathSource := pathSourceJSON(t)
+	infeasible := infeasibleJSON(t)
+
+	type step struct {
+		body    []byte
+		code    int
+		cache   string // X-Cache of a 200
+		skipped bool   // answered through the memo
+	}
+	cases := []struct {
+		name    string
+		entries int // Config.CacheEntries
+		steps   []step
+		runs    int64 // simulations over all steps
+	}{
+		{"byte-identical repeat skips decoding", 0, []step{
+			{a, 200, "miss", false}, {a, 200, "hit", true}, {a, 200, "hit", true},
+		}, 1},
+		{"reformatted copy decodes to the same result", 0, []step{
+			{a, 200, "miss", false}, {aCompact, 200, "hit", false}, {aCompact, 200, "hit", true}, {a, 200, "hit", true},
+		}, 1},
+		{"invalid body is never memoized", 0, []step{
+			{invalid, 400, "", false}, {invalid, 400, "", false}, {invalid, 400, "", false},
+		}, 0},
+		{"trailing garbage is never memoized", 0, []step{
+			{a, 200, "miss", false}, {trailing, 400, "", false}, {trailing, 400, "", false}, {a, 200, "hit", true},
+		}, 1},
+		{"path source is never memoized", 0, []step{
+			{pathSource, 400, "", false}, {pathSource, 400, "", false}, {pathSource, 400, "", false},
+		}, 0},
+		{"evicted result is decoded and simulated again", 1, []step{
+			{a, 200, "miss", false}, {b, 200, "miss", false}, {a, 200, "miss", false}, {a, 200, "hit", true},
+		}, 3},
+		// A failed run leaves no entry behind, so its memoized body
+		// finds nothing to join and runs again.
+		{"failed result is decoded and simulated again", 0, []step{
+			{infeasible, 422, "", false}, {infeasible, 422, "", false},
+		}, 2},
+		{"memo holds at most CacheEntries records", 2, []step{
+			{a, 200, "miss", false}, {aCompact, 200, "hit", false}, {aPadded, 200, "hit", false},
+			// a's record was the coldest of three: evicted, so a
+			// decodes again although its result is resident.
+			{a, 200, "hit", false}, {a, 200, "hit", true},
+			{b, 200, "miss", false}, {c, 200, "miss", false}, {b, 200, "hit", true},
+		}, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{Workers: 1, CacheEntries: tc.entries})
+			defer s.Close()
+			var runs atomic.Int64
+			simulate := s.run
+			s.run = func(ctx context.Context, sc *scenario.Scenario, progress func(Progress)) (*result, error) {
+				runs.Add(1)
+				return simulate(ctx, sc, progress)
+			}
+			first := map[string][]byte{} // the first answer per scenario
+			for i, st := range tc.steps {
+				memoBefore := memoLen(s)
+				skippedBefore := s.Metrics().DecodesSkipped
+				rec := post(t, s, "/v1/simulate", st.body)
+				if rec.Code != st.code {
+					t.Fatalf("step %d: status %d, want %d: %s", i, rec.Code, st.code, rec.Body.String())
+				}
+				wantSkipped := int64(0)
+				if st.skipped {
+					wantSkipped = 1
+				}
+				if got := s.Metrics().DecodesSkipped - skippedBefore; got != wantSkipped {
+					t.Errorf("step %d: decodes_skipped moved by %d, want %d", i, got, wantSkipped)
+				}
+				if n := memoLen(s); n > s.cache.max {
+					t.Errorf("step %d: memo holds %d records, bound %d", i, n, s.cache.max)
+				}
+				key := "request " + string(st.body) // a 200 is keyed by digest instead
+				if st.code == http.StatusOK {
+					if cs := rec.Header().Get("X-Cache"); cs != st.cache {
+						t.Errorf("step %d: X-Cache %q, want %q", i, cs, st.cache)
+					}
+					sc, err := scenario.Decode(bytes.NewReader(st.body))
+					if err != nil {
+						t.Fatal(err)
+					}
+					key, err = sc.Digest()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := rec.Header().Get("X-Scenario-Digest"); got != key {
+						t.Errorf("step %d: X-Scenario-Digest %s, want %s", i, got, key)
+					}
+				} else if n := memoLen(s); st.code == http.StatusBadRequest && n != memoBefore {
+					t.Errorf("step %d: a 400 answer changed the memo from %d to %d records", i, memoBefore, n)
+				}
+				if prev, ok := first[key]; ok && !bytes.Equal(prev, rec.Body.Bytes()) {
+					t.Errorf("step %d: body differs from the first answer for the same scenario", i)
+				}
+				first[key] = rec.Body.Bytes()
+			}
+			if got := runs.Load(); got != tc.runs {
+				t.Errorf("%d simulations, want %d", got, tc.runs)
+			}
+		})
+	}
+}
+
+func memoLen(s *Server) int {
+	s.cache.mu.Lock()
+	defer s.cache.mu.Unlock()
+	return len(s.cache.memo)
 }

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # serve_smoke.sh — end-to-end smoke of the serving stack, using only
 # repo binaries (no curl/jq): boot rtserved, prove the cache contract
-# (miss then hit, byte-equal bodies, byte-equal to a local `rtrun
-# -scenario` run), hold a pinned latency SLO on a cached burst, then
-# saturate a deliberately tiny second instance and prove the admission
-# layer sheds with 429s that /metrics reflects.
+# (miss then hit, byte-equal bodies, the repeat answered without
+# decoding, byte-equal to a local `rtrun -scenario` run), hold a
+# pinned latency SLO on a cached burst, then saturate a deliberately
+# tiny second instance and prove the admission layer sheds with 429s
+# that /metrics reflects.
 #
 # Environment:
 #   SMOKE_SLO_P99   p99 bound for the cached burst (default 1s — the
@@ -67,6 +68,11 @@ grep -q 'status=200 cache=miss' "$tmp/h1" || { cat "$tmp/h1" >&2; die "first POS
   || { cat "$tmp/h2" >&2; die "repeat POST failed"; }
 grep -q 'status=200 cache=hit' "$tmp/h2" || { cat "$tmp/h2" >&2; die "repeat POST was not a 200 cache hit"; }
 cmp "$tmp/r1.txt" "$tmp/r2.txt" || die "cache hit returned different bytes than the miss"
+# The repeat was byte-identical, so the body memo answered it without
+# decoding or digesting.
+"$tmp/rtload" -url "$url" -metrics >"$tmp/hitmetrics.json"
+grep -Eq '"decodes_skipped": [1-9]' "$tmp/hitmetrics.json" \
+  || { cat "$tmp/hitmetrics.json" >&2; die "/metrics does not show the repeat skipped decoding"; }
 
 # The serving contract: the served report is byte-equal to what a
 # local `rtrun -scenario` run prints (the summary on stderr).

@@ -10,13 +10,19 @@ import (
 
 // Decode reads one scenario from JSON. Unknown fields are rejected so
 // a typo in a spec file fails loudly instead of silently running a
-// different scenario. The decoded scenario is validated.
+// different scenario, and so is anything but whitespace after the
+// document: a concatenated or corrupted file must not run (or digest)
+// as its first document. The decoded scenario is validated.
 func Decode(r io.Reader) (*Scenario, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var sc Scenario
 	if err := dec.Decode(&sc); err != nil {
 		return nil, fmt.Errorf("scenario: decode: %w", err)
+	}
+	end := dec.InputOffset()
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("scenario: decode: trailing data after the scenario document (offset %d)", end)
 	}
 	if err := sc.Validate(); err != nil {
 		return nil, err

@@ -94,6 +94,27 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsTrailingData pins that a scenario document must be
+// the whole input: anything after it but whitespace is a decode error,
+// not a silently ignored suffix.
+func TestDecodeRejectsTrailingData(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "testdata", "scenarios", "figure5.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{"garbage", `{"x":1}`, "]]]", "}", "0", "\n{}\n"} {
+		_, err := Decode(bytes.NewReader(append(bytes.Clone(doc), tail...)))
+		if err == nil || !strings.HasPrefix(err.Error(), "scenario: decode: ") {
+			t.Errorf("trailing %q: err = %v, want a scenario: decode: error", tail, err)
+		}
+	}
+	for _, tail := range []string{"", "\n", " \t\r\n "} {
+		if _, err := Decode(bytes.NewReader(append(bytes.Clone(doc), tail...))); err != nil {
+			t.Errorf("trailing whitespace %q: %v", tail, err)
+		}
+	}
+}
+
 func TestValidate(t *testing.T) {
 	base := validScenario()
 	if err := base.Validate(); err != nil {

@@ -580,14 +580,15 @@ func BenchmarkCollectRetain10m(b *testing.B) { benchCollect(b, engine.Retain) }
 // simulation, metrics accumulated online, nothing retained.
 func BenchmarkCollectStream10m(b *testing.B) { benchCollect(b, engine.Stream) }
 
-// TestStreamAllocsPerJobConstant pins the O(1)-per-job steady state:
-// doubling the horizon (and so the job count) must not raise the
-// per-job allocation count — streaming holds no structure that grows
-// with completed jobs, so the per-job cost is flat.
+// TestStreamAllocsPerJobConstant pins the zero-per-job steady state:
+// doubling the horizon (and so the job count) must leave a run's total
+// allocation count where it was. Streaming holds no structure that
+// grows with completed jobs and allocates nothing per job, so the
+// count is set-up plus warm-up; the slack covers the few extra
+// quantile-sketch growths the longer run's larger summaries need.
 func TestStreamAllocsPerJobConstant(t *testing.T) {
-	perJob := func(horizon vtime.Duration) float64 {
-		var jobs int
-		allocs := testing.AllocsPerRun(3, func() {
+	total := func(horizon vtime.Duration) float64 {
+		return testing.AllocsPerRun(3, func() {
 			sys, err := core.NewSystem(core.Config{
 				Tasks:           experiments.FigureSet(),
 				Treatment:       detect.Stop,
@@ -599,20 +600,15 @@ func TestStreamAllocsPerJobConstant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := sys.Run()
-			if err != nil {
+			if _, err := sys.Run(); err != nil {
 				t.Fatal(err)
 			}
-			jobs = res.Report.TotalReleased()
 		})
-		return allocs / float64(jobs)
 	}
-	short := perJob(600 * vtime.Second)
-	long := perJob(1200 * vtime.Second)
-	// Identical workload shape at both horizons; allow 10% noise from
-	// map growth and GC timing.
-	if long > short*1.10 {
-		t.Errorf("allocs per job grew with the horizon: %.2f at 10m vs %.2f at 20m", short, long)
+	short := total(600 * vtime.Second)
+	long := total(1200 * vtime.Second)
+	if long > short+64 {
+		t.Errorf("allocations grew with the horizon: %.0f at 10m vs %.0f at 20m", short, long)
 	}
 }
 

@@ -23,9 +23,11 @@
 //	GET  /metrics                  counters, queue depth, latency sketch
 //
 // When the accept queue is full the server sheds load with HTTP 429 +
-// Retry-After instead of queueing without bound. -check arms the
-// online invariant oracle on every served run. -port-file writes the
-// bound address (host:port) once listening — the race-free handshake
+// Retry-After instead of queueing without bound. A client that is slow
+// to send its request headers, or leaves a keep-alive connection idle,
+// is disconnected after a fixed timeout. -check arms the online
+// invariant oracle on every served run. -port-file writes the bound
+// address (host:port) once listening — the race-free handshake
 // scripts/serve_smoke.sh uses with -addr 127.0.0.1:0.
 package main
 
@@ -47,6 +49,20 @@ import (
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// Connection timeouts: a client has readHeaderTimeout to send its
+// request headers, and a keep-alive connection idle for idleTimeout is
+// closed, so slow or abandoned connections cannot pile up. There is no
+// write timeout: an SSE stream lasts as long as its simulation.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the service handler in the daemon's http.Server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // testShutdown, when non-nil (set only by tests), triggers the same
@@ -104,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stderr, "rtserved: listening on %s\n", bound)
 
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 

@@ -24,6 +24,16 @@ func TestFlagErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPServerTimeouts: the daemon's server bounds how long a client
+// may take over its request headers and how long an idle connection
+// lives.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, IdleTimeout = %v; want both set", hs.ReadHeaderTimeout, hs.IdleTimeout)
+	}
+}
+
 func TestHelpExitsZero(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-h"}, &out, &errb); code != 0 {

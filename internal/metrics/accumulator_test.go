@@ -188,3 +188,48 @@ func TestAccumulatorLargeRandomStream(t *testing.T) {
 		t.Errorf("all jobs terminated but %d remain live", acc.Live())
 	}
 }
+
+// TestAccumulatorSteadyStateAllocs pins the streamed metrics layer at
+// zero allocations per job: once every task's backlog and sketch have
+// reached their working size, whole release/begin/preempt/resume/end,
+// miss-then-stop and detect-then-end job cycles for fresh ordinals —
+// with a second job released while the first is still live — allocate
+// nothing.
+func TestAccumulatorSteadyStateAllocs(t *testing.T) {
+	acc := NewAccumulator()
+	tasks := []string{"tau1", "tau2", "tau3"}
+	q := int64(0)
+	cycle := func() {
+		for i, task := range tasks {
+			rel := vtime.AtMillis(q * 100)
+			at := func(ms int64) vtime.Time { return rel.Add(vtime.Millis(ms)) }
+			acc.Append(trace.Event{At: rel, Kind: trace.JobRelease, Task: task, Job: q})
+			acc.Append(trace.Event{At: at(1), Kind: trace.JobBegin, Task: task, Job: q})
+			acc.Append(trace.Event{At: at(2), Kind: trace.JobRelease, Task: task, Job: q + 1})
+			acc.Append(trace.Event{At: at(3), Kind: trace.JobPreempt, Task: task, Job: q})
+			acc.Append(trace.Event{At: at(4), Kind: trace.JobResume, Task: task, Job: q})
+			switch (q/2 + int64(i)) % 3 {
+			case 0:
+				acc.Append(trace.Event{At: at(10 + q%7), Kind: trace.JobEnd, Task: task, Job: q})
+			case 1:
+				acc.Append(trace.Event{At: at(20), Kind: trace.DeadlineMiss, Task: task, Job: q})
+				acc.Append(trace.Event{At: at(30), Kind: trace.JobStopped, Task: task, Job: q})
+			default:
+				acc.Append(trace.Event{At: at(5), Kind: trace.FaultDetected, Task: task, Job: q})
+				acc.Append(trace.Event{At: at(25 + q%5), Kind: trace.JobEnd, Task: task, Job: q})
+			}
+			acc.Append(trace.Event{At: at(40), Kind: trace.JobBegin, Task: task, Job: q + 1})
+			acc.Append(trace.Event{At: at(50 + q%3), Kind: trace.JobEnd, Task: task, Job: q + 1})
+		}
+		q += 2
+	}
+	for i := 0; i < 2000; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(500, cycle); allocs != 0 {
+		t.Errorf("%.2f allocations per job cycle in steady state, want 0", allocs)
+	}
+	if acc.Live() != 0 {
+		t.Errorf("%d jobs left live", acc.Live())
+	}
+}

@@ -55,6 +55,9 @@ func (s *Sketch) Clone() *Sketch {
 	return &Sketch{eps: s.eps, n: s.n, t: append([]gkTuple(nil), s.t...)}
 }
 
+// reset empties the sketch, keeping its bound and tuple storage.
+func (s *Sketch) reset() { s.n, s.t = 0, s.t[:0] }
+
 // N returns the number of observations added.
 func (s *Sketch) N() int64 { return s.n }
 

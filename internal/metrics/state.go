@@ -2,7 +2,9 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/vtime"
 )
@@ -63,78 +65,107 @@ type LiveJobState struct {
 // accumulator resumes mid-run exactly (RestoreState).
 func (a *Accumulator) State() *AccumulatorState {
 	st := &AccumulatorState{Version: AccumulatorStateVersion, Epsilon: a.eps}
-	names := make([]string, 0, len(a.tasks))
-	for name := range a.tasks {
-		names = append(names, name)
+	order := make([]int, len(a.tasks))
+	for i := range order {
+		order[i] = i
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		s := a.tasks[name]
-		ts := TaskState{
-			Task:        name,
-			Released:    s.Released,
-			Finished:    s.Finished,
-			Stopped:     s.Stopped,
-			Missed:      s.Missed,
-			Failed:      s.Failed,
-			Detected:    s.Detected,
-			MinResponse: int64(s.MinResponse),
-			MaxResponse: int64(s.MaxResponse),
-			RespSum:     int64(s.respSum),
-			RespN:       s.respN,
+	slices.SortFunc(order, func(i, j int) int { return strings.Compare(a.tasks[i].sum.Task, a.tasks[j].sum.Task) })
+	for _, i := range order {
+		t := &a.tasks[i]
+		s := &t.sum
+		if t.summarized {
+			ts := TaskState{
+				Task:        s.Task,
+				Released:    s.Released,
+				Finished:    s.Finished,
+				Stopped:     s.Stopped,
+				Missed:      s.Missed,
+				Failed:      s.Failed,
+				Detected:    s.Detected,
+				MinResponse: int64(s.MinResponse),
+				MaxResponse: int64(s.MaxResponse),
+				RespSum:     int64(s.respSum),
+				RespN:       s.respN,
+			}
+			if t.sketch != nil {
+				ts.Sketch = t.sketch.State()
+			}
+			st.Tasks = append(st.Tasks, ts)
 		}
-		if sk, ok := a.sketch[name]; ok {
-			ts.Sketch = sk.State()
+		for _, lj := range t.live.jobs() {
+			st.Live = append(st.Live, LiveJobState{
+				Task:     s.Task,
+				Q:        lj.q,
+				Release:  int64(lj.release),
+				Missed:   lj.missed,
+				Detected: lj.detected,
+			})
 		}
-		st.Tasks = append(st.Tasks, ts)
 	}
-	for k, lj := range a.live {
-		st.Live = append(st.Live, LiveJobState{
-			Task:     k.task,
-			Q:        k.q,
-			Release:  int64(lj.release),
-			Missed:   lj.missed,
-			Detected: lj.detected,
-		})
-	}
-	sort.Slice(st.Live, func(i, j int) bool {
-		if st.Live[i].Task != st.Live[j].Task {
-			return st.Live[i].Task < st.Live[j].Task
-		}
-		return st.Live[i].Q < st.Live[j].Q
-	})
 	return st
 }
 
 // RestoreState loads a snapshot into an empty accumulator; subsequent
-// Appends continue exactly where the snapshot left off.
+// Appends continue exactly where the snapshot left off. A snapshot
+// listing the same live job twice is corrupt and refused.
 func (a *Accumulator) RestoreState(st *AccumulatorState) error {
 	if st.Version != AccumulatorStateVersion {
 		return fmt.Errorf("metrics: accumulator state version %d, want %d", st.Version, AccumulatorStateVersion)
 	}
-	if len(a.tasks) != 0 || len(a.live) != 0 {
+	if len(a.tasks) != 0 {
 		return fmt.Errorf("metrics: RestoreState on a non-empty accumulator")
+	}
+	if err := a.checkLive(st.Live); err != nil {
+		return err
 	}
 	a.eps = st.Epsilon
 	for _, ts := range st.Tasks {
-		a.tasks[ts.Task] = ts.summary()
+		t := a.summary(ts.Task)
+		t.sum = ts.summary()
 		if ts.Sketch != nil {
-			a.sketch[ts.Task] = ts.Sketch.sketch()
+			t.sketch = ts.Sketch.sketch()
 		}
 	}
-	for _, lj := range st.Live {
-		a.live[jobKey{lj.Task, lj.Q}] = &liveJob{
-			release:  vtime.Time(lj.Release),
-			missed:   lj.Missed,
-			detected: lj.Detected,
+	a.addLive(st.Live)
+	return nil
+}
+
+// checkLive refuses incoming live jobs that repeat one another or are
+// already live here, before any state changes.
+func (a *Accumulator) checkLive(in []LiveJobState) error {
+	seen := make(map[jobKey]bool, len(in))
+	for _, lj := range in {
+		k := jobKey{lj.Task, lj.Q}
+		if seen[k] {
+			return fmt.Errorf("metrics: accumulator state lists live job %s#%d twice", lj.Task, lj.Q)
+		}
+		seen[k] = true
+		if i, ok := a.index[lj.Task]; ok {
+			if _, live := a.tasks[i].live.find(lj.Q); live {
+				return fmt.Errorf("metrics: Absorb live-job collision %s#%d (shards must cover disjoint runs)", lj.Task, lj.Q)
+			}
 		}
 	}
 	return nil
 }
 
+// addLive inserts live jobs that checkLive has cleared.
+func (a *Accumulator) addLive(in []LiveJobState) {
+	for _, lj := range in {
+		t := &a.tasks[a.task(lj.Task)]
+		i, _ := t.live.find(lj.Q)
+		t.live.insert(i, liveJob{q: lj.Q, release: vtime.Time(lj.Release), missed: lj.Missed, detected: lj.Detected})
+	}
+}
+
+type jobKey struct {
+	task string
+	q    int64
+}
+
 // summary converts the serialized form back to a TaskSummary.
-func (ts TaskState) summary() *TaskSummary {
-	return &TaskSummary{
+func (ts TaskState) summary() TaskSummary {
+	return TaskSummary{
 		Task:        ts.Task,
 		Released:    ts.Released,
 		Finished:    ts.Finished,
@@ -153,14 +184,19 @@ func (ts TaskState) summary() *TaskSummary {
 // counters sum, response extremes and moments fold, sketches merge
 // (see Sketch.Merge for the widened rank-error bound), live jobs
 // union. It is how the parent of a process-sharded sweep builds the
-// aggregate view from streamed worker states.
+// aggregate view from streamed worker states. It is all-or-nothing: a
+// state that is refused (wrong version, a live job listed twice or
+// already live here) leaves the accumulator untouched.
 func (a *Accumulator) Absorb(st *AccumulatorState) error {
 	if st.Version != AccumulatorStateVersion {
 		return fmt.Errorf("metrics: accumulator state version %d, want %d", st.Version, AccumulatorStateVersion)
 	}
+	if err := a.checkLive(st.Live); err != nil {
+		return err
+	}
 	for _, ts := range st.Tasks {
-		s := a.summary(ts.Task)
-		incoming := ts.summary()
+		t := a.summary(ts.Task)
+		s, incoming := &t.sum, ts.summary()
 		if incoming.respN > 0 && (s.respN == 0 || incoming.MinResponse < s.MinResponse) {
 			s.MinResponse = incoming.MinResponse
 		}
@@ -177,20 +213,14 @@ func (a *Accumulator) Absorb(st *AccumulatorState) error {
 		s.respN += incoming.respN
 		if ts.Sketch != nil {
 			in := ts.Sketch.sketch()
-			if sk, ok := a.sketch[ts.Task]; ok {
-				sk.Merge(in)
+			if t.sketch != nil {
+				t.sketch.Merge(in)
 			} else {
-				a.sketch[ts.Task] = in
+				t.sketch = in
 			}
 		}
 	}
-	for _, lj := range st.Live {
-		k := jobKey{lj.Task, lj.Q}
-		if _, dup := a.live[k]; dup {
-			return fmt.Errorf("metrics: Absorb live-job collision %s#%d (shards must cover disjoint runs)", lj.Task, lj.Q)
-		}
-		a.live[k] = &liveJob{release: vtime.Time(lj.Release), missed: lj.Missed, detected: lj.Detected}
-	}
+	a.addLive(st.Live)
 	return nil
 }
 
@@ -249,7 +279,7 @@ func ReportFromState(st *AccumulatorState) (*Report, error) {
 		if s.respN > 0 {
 			s.MeanResponse = s.respSum / vtime.Duration(s.respN)
 		}
-		rep.Tasks[ts.Task] = s
+		rep.Tasks[ts.Task] = &s
 		if ts.Sketch != nil {
 			rep.sketches[ts.Task] = ts.Sketch.sketch()
 		}

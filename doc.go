@@ -71,6 +71,11 @@
 //     failing simulation cancels the remainder while every observed
 //     error is aggregated via errors.Join.
 //
+// The seeded differential sweeps of package sim (X11, X13, X14 and
+// X15) go through the same pool via one shared helper, sweep, which
+// maps a per-seed check over runner.Seeds; X12's serial leg uses the
+// pool too, and its sharded leg a pool of worker processes.
+//
 // cmd/rtexp exposes the pool: -parallel N picks the worker count
 // (0 = all cores), -serial forces the one-at-a-time path, -progress
 // reports live done/total counts on stderr, and -json switches the

@@ -44,8 +44,8 @@ type BaselinePoint struct {
 func BaselineComparisonCtx(ctx context.Context, extra vtime.Duration, horizon vtime.Duration, opt RunOptions) ([]BaselinePoint, error) {
 	faults := fault.Plan{"tau1": fault.OverrunEvery{First: 1, K: 2, Extra: extra}}
 
-	// A nil policy marks the paper's approach (core.System with
-	// detectors); the rest run the bare engine under that policy.
+	// A nil policy marks the paper's approach (admission control plus
+	// detectors); the rest run that scheduler with admission skipped.
 	policies := []engine.Policy{
 		nil,
 		engine.FixedPriority{},
@@ -55,45 +55,27 @@ func BaselineComparisonCtx(ctx context.Context, extra vtime.Duration, horizon vt
 		baselines.DOver{},
 	}
 	return runner.Map(ctx, opt.pool(), policies, func(_ context.Context, _ int, p engine.Policy) (BaselinePoint, error) {
+		cfg := core.Config{
+			Tasks:         FigureSet(),
+			Faults:        faults,
+			Horizon:       horizon,
+			Policy:        p,
+			SkipAdmission: true,
+			Collect:       opt.collect(),
+		}
+		name := "fp+detectors(stop)"
 		if p == nil {
-			sys, err := core.NewSystem(core.Config{
-				Tasks:           FigureSet(),
-				Treatment:       detect.Stop,
-				Faults:          faults,
-				Horizon:         horizon,
-				TimerResolution: detect.DefaultTimerResolution,
-				Collect:         opt.collect(),
-			})
-			if err != nil {
-				return BaselinePoint{}, err
-			}
-			res, err := sys.Run()
-			if err != nil {
-				return BaselinePoint{}, err
-			}
-			return point("fp+detectors(stop)", res.Report), nil
+			cfg.Treatment = detect.Stop
+			cfg.TimerResolution = detect.DefaultTimerResolution
+			cfg.SkipAdmission = false
+		} else {
+			name = p.Name()
 		}
-		cfg := engine.Config{
-			Tasks:   FigureSet(),
-			Faults:  faults,
-			Policy:  p,
-			End:     vtime.Time(horizon),
-			Collect: opt.collect(),
-		}
-		var acc *metrics.Accumulator
-		if opt.Stream {
-			acc = metrics.NewAccumulator()
-			cfg.Sink = acc
-		}
-		e, err := engine.New(cfg)
+		res, err := runSystem(cfg)
 		if err != nil {
 			return BaselinePoint{}, err
 		}
-		log := e.Run()
-		if acc != nil {
-			return point(p.Name(), acc.Report()), nil
-		}
-		return point(p.Name(), metrics.Analyze(log)), nil
+		return point(name, res.Report), nil
 	})
 }
 

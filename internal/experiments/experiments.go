@@ -39,7 +39,8 @@ type RunOptions struct {
 	// counts, which streaming reproduces exactly. Honoured by the
 	// sweeps that need no job-level records or trace: X2 and X4.
 	// X1 measures trace size and X3 reads per-job records, so they
-	// always retain.
+	// always retain; the differential sweeps of package sim (X11–X15)
+	// pick their own collection modes.
 	Stream bool
 }
 
@@ -272,13 +273,19 @@ func (f Figure) Title() string {
 // treatment: the Table 2 system, τ3 offset 1000 ms, a 40 ms overrun
 // injected into τ1's job 5, jRate's 10 ms timer resolution.
 func RunFigure(f Figure) (*core.Result, error) {
-	sys, err := core.NewSystem(core.Config{
+	return runSystem(core.Config{
 		Tasks:           FigureSet(),
 		Treatment:       f.Treatment(),
 		Faults:          fault.Plan{"tau1": fault.OverrunAt{Job: FaultyJob, Extra: FigureFaultExtra}},
 		Horizon:         FigureHorizon,
 		TimerResolution: detect.DefaultTimerResolution,
 	})
+}
+
+// runSystem builds one core system — admission control and detectors
+// as the configuration asks — and runs it to the horizon.
+func runSystem(cfg core.Config) (*core.Result, error) {
+	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -356,7 +363,7 @@ func FaultMagnitudeSweepCtx(ctx context.Context, maxExtra, step vtime.Duration, 
 		}
 	}
 	return runner.Map(ctx, opt.pool(), jobs, func(_ context.Context, _ int, j job) (SweepPoint, error) {
-		sys, err := core.NewSystem(core.Config{
+		res, err := runSystem(core.Config{
 			Tasks:           FigureSet(),
 			Treatment:       j.tr,
 			Faults:          fault.Plan{"tau1": fault.OverrunAt{Job: FaultyJob, Extra: j.extra}},
@@ -364,10 +371,6 @@ func FaultMagnitudeSweepCtx(ctx context.Context, maxExtra, step vtime.Duration, 
 			TimerResolution: detect.DefaultTimerResolution,
 			Collect:         opt.collect(),
 		})
-		if err != nil {
-			return SweepPoint{}, err
-		}
-		res, err := sys.Run()
 		if err != nil {
 			return SweepPoint{}, err
 		}
@@ -419,17 +422,13 @@ func TimerResolutionSweepCtx(ctx context.Context, opt RunOptions) ([]ResolutionP
 		}
 	}
 	return runner.Map(ctx, opt.pool(), jobs, func(_ context.Context, _ int, j job) (ResolutionPoint, error) {
-		sys, err := core.NewSystem(core.Config{
+		r, err := runSystem(core.Config{
 			Tasks:           FigureSet(),
 			Treatment:       j.tr,
 			Faults:          fault.Plan{"tau1": fault.OverrunAt{Job: FaultyJob, Extra: FigureFaultExtra}},
 			Horizon:         FigureHorizon,
 			TimerResolution: j.res,
 		})
-		if err != nil {
-			return ResolutionPoint{}, err
-		}
-		r, err := sys.Run()
 		if err != nil {
 			return ResolutionPoint{}, err
 		}
@@ -477,16 +476,12 @@ func DetectorOverheadSweepCtx(ctx context.Context, sizes []int, seed uint64, opt
 		if j.withDet {
 			tr = detect.DetectOnly
 		}
-		sys, err := core.NewSystem(core.Config{
+		r, err := runSystem(core.Config{
 			Tasks:           s,
 			Treatment:       tr,
 			Horizon:         2 * vtime.Second,
 			TimerResolution: detect.DefaultTimerResolution,
 		})
-		if err != nil {
-			return OverheadPoint{}, err
-		}
-		r, err := sys.Run()
 		if err != nil {
 			return OverheadPoint{}, err
 		}

@@ -24,6 +24,11 @@ import (
 // switches. With the policy-ordered ready queue the per-event cost
 // grows sub-linearly (logarithmically) in the task count — pinned by
 // TestDispatchCostSubLinear at the repository root.
+//
+// X10 deliberately drives a bare engine rather than core.System: it
+// times the engine loop alone, so neither admission analysis nor a
+// metrics accumulator may sit inside the measured window. It is the
+// only bare engine among the experiments.
 
 // ScalingSizes is the default X10 axis.
 var ScalingSizes = []int{10, 50, 100, 250, 500}

@@ -27,8 +27,9 @@ func TestFaultMagnitudeSweepStreamEqualsRetain(t *testing.T) {
 }
 
 // TestBaselineComparisonStreamEqualsRetain: X4 likewise reads only
-// success ratios; the bare-engine policy rows flow through a
-// metrics.Accumulator sink instead of Analyze under streaming.
+// success ratios; under streaming every row, the overload schedulers'
+// included, is summarized by core's metrics.Accumulator instead of
+// Analyze.
 func TestBaselineComparisonStreamEqualsRetain(t *testing.T) {
 	ctx := context.Background()
 	retain, err := BaselineComparisonCtx(ctx, vtime.Millis(50), 3*vtime.Second, RunOptions{})

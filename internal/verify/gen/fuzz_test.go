@@ -1,32 +1,18 @@
 package gen_test
 
 import (
-	"fmt"
 	"testing"
 
-	"repro/internal/verify/gen"
 	"repro/sim"
-	"repro/sim/scenario"
 )
-
-// runVerified runs the scenario under the invariant oracle in the
-// given collection mode and returns the run error (nil = all axioms
-// held).
-func runVerified(sc scenario.Scenario, mode string) error {
-	sc.Collect = &scenario.Collect{Mode: mode}
-	sc.Verify = true
-	sys, err := sim.FromScenario(sc)
-	if err != nil {
-		return fmt.Errorf("build: %w", err)
-	}
-	_, err = sys.Run()
-	return err
-}
 
 // FuzzScenario is the native fuzz target over the scenario space: any
 // seed must derive a scenario whose run satisfies every scheduling
-// axiom, in every legal collection mode. A failing seed is shrunk to
-// a minimal reproducer so the report is actionable.
+// axiom in every legal collection mode, with the streamed report
+// equal to the retained one (the x11 check), and a fast-forwardable
+// scenario whose jump reproduces its full run (the x14 check). A
+// failing seed is shrunk to a minimal reproducer so the report is
+// actionable.
 //
 // CI runs this as a short smoke on every PR and a longer non-blocking
 // pass nightly: go test -fuzz=FuzzScenario ./internal/verify/gen
@@ -59,21 +45,12 @@ func FuzzScenario(f *testing.F) {
 		if err := sim.FastForwardCheck(seed); err != nil {
 			t.Fatalf("fast-forward differential: %v", err)
 		}
-		sc := gen.Scenario(seed)
-		for _, mode := range gen.LegalCollectModes(&sc) {
-			if err := runVerified(sc, mode); err != nil {
-				// Stamp the failing mode so the written reproducer
-				// replays in it, shrink each candidate under its own
-				// collect block (sim.OracleFailure — oracle
-				// violations only, per gen.Failure's contract), and
-				// persist under the repository's testdata/shrunk so
-				// the artefact outlives the test.
-				failing := sc
-				failing.Collect = &scenario.Collect{Mode: mode}
-				repro := gen.Reproduce(gen.ReproducerPath(), failing, sim.OracleFailure)
-				t.Fatalf("seed %#x (%s collection) violates the scheduling axioms: %v\nreproducer: %s",
-					seed, mode, err, repro)
-			}
+		// Collection-mode leg: x11's per-seed check — the seed's
+		// scenario passes the oracle in every legal collection mode and
+		// its streamed report matches the retained one. A failure is
+		// shrunk to a reproducer under testdata/shrunk.
+		if err := sim.DifferentialCheck(seed); err != nil {
+			t.Fatalf("differential: %v", err)
 		}
 	})
 }
@@ -91,11 +68,8 @@ func TestFuzzSeedsSmoke(t *testing.T) {
 	// The arrival-source corpus seeds (see FuzzScenario).
 	seeds = append(seeds, 7, 41, 36)
 	for _, seed := range seeds {
-		sc := gen.Scenario(seed)
-		for _, mode := range gen.LegalCollectModes(&sc) {
-			if err := runVerified(sc, mode); err != nil {
-				t.Errorf("seed %d (%s): %v", seed, mode, err)
-			}
+		if err := sim.DifferentialCheck(seed); err != nil {
+			t.Errorf("seed %d differential: %v", seed, err)
 		}
 	}
 	// The fast-forward corpus seeds (see FuzzScenario's fast-forward

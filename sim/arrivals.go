@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/runner"
 	"repro/internal/taskset"
 	"repro/internal/vtime"
 	"repro/sim/scenario"
@@ -19,11 +18,12 @@ import (
 // under the online invariant oracle — whose release axiom replays the
 // source independently, so every "random" arrival instant is checked
 // exactly — in both collection modes, asserting zero violations and
-// retain ≡ stream report equivalence. On top of the differential, the
-// sweep pins two source-specific contracts: realized Poisson
-// inter-arrival gaps pass a Kolmogorov–Smirnov bound against the
-// declared exponential law, and every generated trace re-encodes byte
-// for byte through ParseTrace ∘ EncodeTrace.
+// retain ≡ stream report equivalence (crossCollect, the x11 leg, which
+// also shrinks a failing scenario to a reproducer). On top of the
+// differential, the sweep pins two source-specific contracts: realized
+// Poisson inter-arrival gaps pass a Kolmogorov–Smirnov bound against
+// the declared exponential law, and every generated trace re-encodes
+// byte for byte through ParseTrace ∘ EncodeTrace.
 
 // OpenArrivalsSeed and OpenArrivalsCount parameterize the default
 // sweep (the "x15" registry entry and `make ci`). The count is a
@@ -64,12 +64,10 @@ type OpenArrivalPoint struct {
 // OpenArrivalsSweep runs the sweep over seeds derived from base,
 // cycling the source kind per point.
 func OpenArrivalsSweep(ctx context.Context, base uint64, n int, opt RunOptions) ([]OpenArrivalPoint, error) {
-	seeds := runner.Seeds(base, n)
 	kinds := []string{ArrivalPoisson, ArrivalMMPP, ArrivalTrace}
-	return runner.Map(ctx, runner.Options{Parallelism: opt.Parallelism, Progress: opt.Progress}, seeds,
-		func(ctx context.Context, i int, seed uint64) (OpenArrivalPoint, error) {
-			return openArrivalOne(kinds[i%len(kinds)], seed)
-		})
+	return sweep(ctx, base, n, opt, func(i int, seed uint64) (OpenArrivalPoint, error) {
+		return openArrivalOne(kinds[i%len(kinds)], seed)
+	})
 }
 
 // openArrivalOne runs one (kind, seed) scenario through the oracle in
@@ -78,22 +76,13 @@ func OpenArrivalsSweep(ctx context.Context, base uint64, n int, opt RunOptions) 
 func openArrivalOne(kind string, seed uint64) (OpenArrivalPoint, error) {
 	sc := openArrivalScenario(kind, seed)
 	point := OpenArrivalPoint{Seed: seed, Kind: kind, Name: sc.Name}
-
-	reports := make(map[string]*RunResult, 2)
-	for _, mode := range []string{scenario.CollectRetain, scenario.CollectStream} {
-		res, err := runDifferentialMode(sc, mode)
-		if err != nil {
-			return point, fmt.Errorf("x15 seed %#x (%s source, %s collection): %w", seed, kind, mode, err)
-		}
-		reports[mode] = res
-		point.Modes = append(point.Modes, mode)
+	modes := []string{scenario.CollectRetain, scenario.CollectStream}
+	retained, err := crossCollect(sc, modes)
+	if err != nil {
+		return point, fmt.Errorf("x15 seed %#x (%s source): %w", seed, kind, err)
 	}
-	for _, s := range reports[scenario.CollectRetain].Report.Tasks {
-		point.Released += s.Released
-	}
-	if diff := reportDivergence(reports[scenario.CollectRetain], reports[scenario.CollectStream]); diff != "" {
-		return point, fmt.Errorf("x15 seed %#x (%s source): retain and stream reports diverge: %s", seed, kind, diff)
-	}
+	point.Modes = modes
+	point.Released = retained.Report.TotalReleased()
 
 	switch kind {
 	case ArrivalPoisson:
@@ -129,7 +118,7 @@ func openArrivalOne(kind string, seed uint64) (OpenArrivalPoint, error) {
 	return point, nil
 }
 
-// openArrivalScenario derives one bare-engine scenario with a
+// openArrivalScenario derives one admission-skipping scenario with a
 // source-driven task of the given kind beside a periodic competitor,
 // its parameters drawn deterministically from the seed.
 func openArrivalScenario(kind string, seed uint64) scenario.Scenario {

@@ -17,8 +17,8 @@ func arrivalTask(name string) Task {
 	return Task{Name: name, Priority: 5, Period: Millis(50), Deadline: Millis(40), Cost: Millis(5)}
 }
 
-// runArrival builds and runs an oracle-armed bare-engine scenario
-// with one source-driven task.
+// runArrival builds and runs an oracle-armed, admission-skipping
+// scenario with one source-driven task.
 func runArrival(t *testing.T, a Arrival, horizon vtime.Duration) *RunResult {
 	t.Helper()
 	s, err := New(

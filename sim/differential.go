@@ -55,11 +55,26 @@ type DifferentialPoint struct {
 // modes ran, produce equivalent reports; the first divergence aborts
 // the sweep with a shrunk reproducer.
 func DifferentialSweep(ctx context.Context, base uint64, n int, opt RunOptions) ([]DifferentialPoint, error) {
-	seeds := runner.Seeds(base, n)
-	return runner.Map(ctx, runner.Options{Parallelism: opt.Parallelism, Progress: opt.Progress}, seeds,
-		func(ctx context.Context, i int, seed uint64) (DifferentialPoint, error) {
-			return differentialOne(seed)
-		})
+	return sweep(ctx, base, n, opt, func(_ int, seed uint64) (DifferentialPoint, error) {
+		return differentialOne(seed)
+	})
+}
+
+// DifferentialCheck runs one seed's x11 check — the FuzzScenario
+// collection-mode leg. It returns nil when gen.Scenario(seed) passes
+// the oracle in every legal collection mode and its streamed report
+// matches the retained one; a failure names a shrunk reproducer.
+func DifferentialCheck(seed uint64) error {
+	_, err := differentialOne(seed)
+	return err
+}
+
+// sweep runs check once per seed derived from base over the runner
+// pool, returning the points in seed order — the harness shared by
+// the seeded differential sweeps (x11, x13, x14, x15).
+func sweep[P any](ctx context.Context, base uint64, n int, opt RunOptions, check func(i int, seed uint64) (P, error)) ([]P, error) {
+	return runner.Map(ctx, runner.Options{Parallelism: opt.Parallelism, Progress: opt.Progress}, runner.Seeds(base, n),
+		func(_ context.Context, i int, seed uint64) (P, error) { return check(i, seed) })
 }
 
 // differentialOne runs one seed through the oracle in every legal
@@ -79,7 +94,22 @@ func differentialOne(seed uint64) (DifferentialPoint, error) {
 		point.FaultKinds = append(point.FaultKinds, f.Kind)
 	}
 	modes := gen.LegalCollectModes(&sc)
-	reports := make(map[string]*RunResult, len(modes))
+	retained, err := crossCollect(sc, modes)
+	if err != nil {
+		return point, fmt.Errorf("seed %#x: %w", seed, err)
+	}
+	point.Modes = modes
+	point.Released = retained.Report.TotalReleased()
+	return point, nil
+}
+
+// crossCollect runs the scenario under the oracle in each of the
+// given collection modes (retain first) and, when both ran, checks
+// that the streamed report matches the retained one. Any failure is
+// shrunk to a reproducer under testdata/shrunk/ whose path the error
+// names. It returns the retained run.
+func crossCollect(sc scenario.Scenario, modes []string) (*RunResult, error) {
+	runs := make(map[string]*RunResult, len(modes))
 	for _, mode := range modes {
 		res, err := runDifferentialMode(sc, mode)
 		if err != nil {
@@ -91,30 +121,26 @@ func differentialOne(seed uint64) (DifferentialPoint, error) {
 			failing := sc
 			failing.Collect = &scenario.Collect{Mode: mode}
 			repro := gen.Reproduce(gen.ReproducerPath(), failing, OracleFailure)
-			return point, fmt.Errorf("seed %#x (%s collection): %w\nreproducer: %s", seed, mode, err, repro)
+			return nil, fmt.Errorf("(%s collection): %w\nreproducer: %s", mode, err, repro)
 		}
-		reports[mode] = res
-		point.Modes = append(point.Modes, mode)
+		runs[mode] = res
 	}
-	if res := reports[scenario.CollectRetain]; res != nil {
-		for _, s := range res.Report.Tasks {
-			point.Released += s.Released
-		}
+	retained, streamed := runs[scenario.CollectRetain], runs[scenario.CollectStream]
+	if streamed == nil {
+		return retained, nil
 	}
-	if len(modes) == 2 {
-		if diff := reportDivergence(reports[scenario.CollectRetain], reports[scenario.CollectStream]); diff != "" {
-			repro := gen.Reproduce(gen.ReproducerPath(), sc, func(cand scenario.Scenario) bool {
-				if len(cand.Servers) > 0 {
-					return false
-				}
-				r, errR := runDifferentialMode(cand, scenario.CollectRetain)
-				s, errS := runDifferentialMode(cand, scenario.CollectStream)
-				return errR == nil && errS == nil && reportDivergence(r, s) != ""
-			})
-			return point, fmt.Errorf("seed %#x: retain and stream reports diverge: %s\nreproducer (compare a retain and a stream run of it): %s", seed, diff, repro)
-		}
+	if diff := reportDivergence(retained, streamed); diff != "" {
+		repro := gen.Reproduce(gen.ReproducerPath(), sc, func(cand scenario.Scenario) bool {
+			if len(gen.LegalCollectModes(&cand)) < 2 {
+				return false
+			}
+			r, errR := runDifferentialMode(cand, scenario.CollectRetain)
+			s, errS := runDifferentialMode(cand, scenario.CollectStream)
+			return errR == nil && errS == nil && reportDivergence(r, s) != ""
+		})
+		return nil, fmt.Errorf("retain and stream reports diverge: %s\nreproducer (compare a retain and a stream run of it): %s", diff, repro)
 	}
-	return point, nil
+	return retained, nil
 }
 
 // runDifferentialMode runs the scenario in one collection mode with
@@ -128,11 +154,7 @@ func runDifferentialMode(sc scenario.Scenario, mode string) (*RunResult, error) 
 // with the oracle armed.
 func verifiedRun(sc scenario.Scenario) (*RunResult, error) {
 	sc.Verify = true
-	sys, err := FromScenario(sc)
-	if err != nil {
-		return nil, err
-	}
-	return sys.Run()
+	return runScenario(sc)
 }
 
 // OracleFailure reports whether running the scenario as declared

@@ -4,21 +4,14 @@ import (
 	"context"
 	"fmt"
 	"sync"
+
+	"repro/internal/experiments"
 )
 
 // RunOptions configures how an experiment executes its independent
-// simulations. The zero value uses every core.
-type RunOptions struct {
-	// Parallelism is the worker count: 0 = GOMAXPROCS, 1 = serial.
-	Parallelism int
-	// Progress, when non-nil, observes completed-simulation counts.
-	Progress func(done, total int)
-	// Stream runs each simulation with streaming collection (bounded
-	// memory, identical rendered artefacts). Honoured by the sweeps
-	// that consume only task-summary counts (x2, x4); ignored by
-	// sweeps needing job records or the trace (x1, x3).
-	Stream bool
-}
+// simulations (worker count, progress observer, streamed collection).
+// The zero value uses every core.
+type RunOptions = experiments.RunOptions
 
 // Result is one experiment artefact in both machine and human form.
 type Result struct {

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"repro/internal/metrics"
-	"repro/internal/runner"
 	"repro/internal/verify/gen"
 	"repro/internal/vtime"
 )
@@ -60,11 +59,9 @@ type FastForwardPoint struct {
 // full run, and at least one scenario must actually engage the jump;
 // the first divergence aborts the sweep.
 func FastForwardSweep(ctx context.Context, base uint64, n int, opt RunOptions) ([]FastForwardPoint, error) {
-	seeds := runner.Seeds(base, n)
-	points, err := runner.Map(ctx, runner.Options{Parallelism: opt.Parallelism, Progress: opt.Progress}, seeds,
-		func(ctx context.Context, i int, seed uint64) (FastForwardPoint, error) {
-			return fastForwardOne(seed)
-		})
+	points, err := sweep(ctx, base, n, opt, func(_ int, seed uint64) (FastForwardPoint, error) {
+		return fastForwardOne(seed)
+	})
 	if err != nil {
 		return points, err
 	}
@@ -108,15 +105,9 @@ func fastForwardOne(seed uint64) (FastForwardPoint, error) {
 	if err != nil {
 		return point, fmt.Errorf("seed %#x (full reference run): %w", seed, err)
 	}
-	for _, s := range refRes.Report.Tasks {
-		point.Released += s.Released
-	}
+	point.Released = refRes.Report.TotalReleased()
 
-	ffSys, err := FromScenario(sc)
-	if err != nil {
-		return point, fmt.Errorf("seed %#x: %w", seed, err)
-	}
-	ffRes, err := ffSys.Run()
+	ffRes, err := runScenario(sc)
 	if err != nil {
 		return point, fmt.Errorf("seed %#x (fast-forward run): %w", seed, err)
 	}

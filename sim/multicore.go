@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/runner"
 	"repro/internal/taskset"
 	"repro/internal/trace"
 	"repro/internal/vtime"
@@ -61,11 +60,9 @@ type MulticorePoint struct {
 // success ratio must be at least the partitioned one; the first
 // violation aborts the sweep.
 func MulticoreSweep(ctx context.Context, base uint64, n int, opt RunOptions) ([]MulticorePoint, error) {
-	seeds := runner.Seeds(base, n)
-	return runner.Map(ctx, runner.Options{Parallelism: opt.Parallelism, Progress: opt.Progress}, seeds,
-		func(ctx context.Context, i int, seed uint64) (MulticorePoint, error) {
-			return multicoreOne(seed)
-		})
+	return sweep(ctx, base, n, opt, func(_ int, seed uint64) (MulticorePoint, error) {
+		return multicoreOne(seed)
+	})
 }
 
 // multicoreOne runs one seeded task set through both dispatch modes.

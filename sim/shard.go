@@ -60,11 +60,7 @@ func ServeShardWorker(r io.Reader, w io.Writer) error {
 		if !sc.Streaming() {
 			return nil, fmt.Errorf("sim: shard worker needs streaming collection, scenario %q retains", sc.Name)
 		}
-		sys, err := FromScenario(*sc)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sys.Run()
+		res, err := runScenario(*sc)
 		if err != nil {
 			return nil, err
 		}
@@ -206,13 +202,7 @@ func ShardDifferentialSweep(ctx context.Context, base uint64, n int, opt RunOpti
 	}
 
 	serial, err := runner.Map(ctx, runner.Options{Parallelism: opt.Parallelism}, scs,
-		func(ctx context.Context, i int, sc Scenario) (*RunResult, error) {
-			sys, err := FromScenario(sc)
-			if err != nil {
-				return nil, err
-			}
-			return sys.Run()
-		})
+		func(_ context.Context, _ int, sc Scenario) (*RunResult, error) { return runScenario(sc) })
 	if err != nil {
 		return nil, fmt.Errorf("sim: x12 serial leg: %w", err)
 	}
@@ -237,18 +227,15 @@ func ShardDifferentialSweep(ctx context.Context, base uint64, n int, opt RunOpti
 			return nil, fmt.Errorf("sim: seed %#x (%s): sharded report diverges from serial: %s",
 				seeds[i], scs[i].Name, diff)
 		}
-		p := ShardPoint{
+		points[i] = ShardPoint{
 			Seed:     seeds[i],
 			Name:     scs[i].Name,
 			Policy:   scs[i].Policy,
 			Tasks:    len(scs[i].Tasks),
 			Overload: scs[i].SkipAdmission,
+			Released: rep.TotalReleased(),
 			Switches: sharded[i].Switches,
 		}
-		for _, s := range rep.Tasks {
-			p.Released += s.Released
-		}
-		points[i] = p
 	}
 	return points, nil
 }

@@ -94,6 +94,15 @@ func FromScenario(sc Scenario) (*System, error) {
 	return &System{sc: sc}, nil
 }
 
+// runScenario builds the scenario into a System and runs it.
+func runScenario(sc Scenario) (*RunResult, error) {
+	sys, err := FromScenario(sc)
+	if err != nil {
+		return nil, err
+	}
+	return sys.Run()
+}
+
 // Scenario returns the underlying declarative spec, e.g. to encode it
 // back to JSON with scenario.Encode.
 func (s *System) Scenario() Scenario { return s.sc }

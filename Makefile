@@ -121,8 +121,8 @@ serve-smoke:
 	scripts/serve_smoke.sh
 
 # Short native-fuzz smoke over the scenario space, the log codec, the
-# checkpoint split/resume differential, and rtserved's answers to a
-# repeated body. FuzzServeRepeat's inputs are whole scenario documents,
+# checkpoint split/resume differential, rtserved's answers to a
+# repeated body, and the duration codec's round trip. FuzzServeRepeat's inputs are whole scenario documents,
 # some KiB each: minimizing every new-coverage one for the default 60s
 # would spend the smoke's budget shrinking instead of fuzzing, so its
 # minimization is capped.
@@ -131,5 +131,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzCheckpoint -fuzztime 10s ./internal/verify/gen
 	$(GO) test -run '^$$' -fuzz FuzzServeRepeat -fuzztime 10s -fuzzminimizetime 100x ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzDurationRoundTrip -fuzztime 10s ./internal/vtime
 
 ci: build vet fmt-check script-lint perfbench-check race bench-json bench-gate x11 x12 x13 x14 x15 serve-smoke

@@ -422,3 +422,27 @@ func TestFastForwardFlagConflicts(t *testing.T) {
 		}
 	}
 }
+
+// TestAdmissionRejectionMessage pins the whole message an infeasible
+// -tasks run fails with, package prefix included, under a treatment
+// and without one: the Table 2 system with every cost at 65 ms misses
+// τ2's and τ3's deadlines.
+func TestAdmissionRejectionMessage(t *testing.T) {
+	tasks := filepath.Join(t.TempDir(), "infeasible.tasks")
+	spec := "task tau1 priority=20 period=200 deadline=70 cost=65\n" +
+		"task tau2 priority=18 period=250 deadline=120 cost=65\n" +
+		"task tau3 priority=16 period=1500 deadline=120 cost=65\n"
+	if err := os.WriteFile(tasks, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "rtrun: core: admission control rejects the system (misses: [tau2 tau3])\n"
+	for _, treatment := range []string{"none", "stop"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-tasks", tasks, "-treatment", treatment}, &stdout, &stderr); code != 1 {
+			t.Errorf("treatment %s: exit %d, want 1", treatment, code)
+		}
+		if stderr.String() != want {
+			t.Errorf("treatment %s: stderr %q, want %q", treatment, stderr.String(), want)
+		}
+	}
+}

@@ -7,6 +7,7 @@
 package allowance
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/analysis"
@@ -26,7 +27,7 @@ const DefaultGranularity = vtime.Millisecond
 // DefaultGranularity).
 func Equitable(s *taskset.Set, granularity vtime.Duration) (vtime.Duration, error) {
 	return search(granularity, func(delta vtime.Duration) (bool, error) {
-		return feasibleWith(s.WithCostDelta(delta))
+		return feasible(s.WithCostDelta(delta), nil)
 	})
 }
 
@@ -39,18 +40,17 @@ func MaxOverrun(s *taskset.Set, i int, granularity vtime.Duration) (vtime.Durati
 		return 0, fmt.Errorf("allowance: task index %d out of range", i)
 	}
 	return search(granularity, func(delta vtime.Duration) (bool, error) {
-		return feasibleWith(s.WithTaskCostDelta(i, delta))
+		return feasible(s.WithTaskCostDelta(i, delta), nil)
 	})
 }
 
 // System computes the §4.3 system allowance: the maximum free time in
 // the system, i.e. the largest overrun grantable in full to the first
-// faulty task. It is the minimum over tasks of nothing — concretely,
-// the paper grants the first faulty task its own MaxOverrun; because
-// any task's overrun must keep every lower-priority task feasible,
-// the highest-priority task's MaxOverrun is the figure the paper
-// quotes (33 ms for Table 2). System returns MaxOverrun for every
-// task, in set order.
+// faulty task. The paper grants the first faulty task its own
+// MaxOverrun; because any task's overrun must keep every
+// lower-priority task feasible, the highest-priority task's
+// MaxOverrun is the figure the paper quotes (33 ms for Table 2).
+// System returns MaxOverrun for every task, in set order.
 func System(s *taskset.Set, granularity vtime.Duration) ([]vtime.Duration, error) {
 	out := make([]vtime.Duration, s.Len())
 	for i := range s.Tasks {
@@ -63,11 +63,14 @@ func System(s *taskset.Set, granularity vtime.Duration) ([]vtime.Duration, error
 	return out, nil
 }
 
+// errInfeasibleBase is search's verdict on a system that is
+// infeasible before any overrun is granted.
+var errInfeasibleBase = errors.New("allowance: system infeasible with no overrun; nothing to grant")
+
 // search binary-searches the largest delta (a multiple of the
 // granularity) for which ok(delta) holds. ok must be monotone
-// (feasible at 0, eventually infeasible). Returns 0 when even the
-// base system is infeasible at delta 0 but ok(0) holds vacuously —
-// callers should admission-check first.
+// (feasible at 0, eventually infeasible); when ok(0) fails, search
+// returns errInfeasibleBase.
 func search(granularity vtime.Duration, ok func(vtime.Duration) (bool, error)) (vtime.Duration, error) {
 	if granularity <= 0 {
 		granularity = DefaultGranularity
@@ -75,7 +78,7 @@ func search(granularity vtime.Duration, ok func(vtime.Duration) (bool, error)) (
 	if feas, err := ok(0); err != nil {
 		return 0, err
 	} else if !feas {
-		return 0, fmt.Errorf("allowance: system infeasible with no overrun; nothing to grant")
+		return 0, errInfeasibleBase
 	}
 	// Exponential probe for an infeasible upper bound.
 	hi := granularity
@@ -112,9 +115,14 @@ func search(granularity vtime.Duration, ok func(vtime.Duration) (bool, error)) (
 	return lo, nil
 }
 
-func feasibleWith(s *taskset.Set) (bool, error) {
-	// A cost inflated past its deadline is infeasible by definition;
-	// Set.Validate would reject it, so test directly here.
+// feasible is the one probe predicate behind every allowance search:
+// the exact Figure 2 test of a (cost-inflated) set under optional
+// per-task blocking terms (nil = none). A cost inflated past its
+// deadline is infeasible by definition — Set.Validate would reject it,
+// and would build two maps per probe doing so — so it is tested
+// directly. A diverging response time is a verdict (infeasible); any
+// other analysis error is returned.
+func feasible(s *taskset.Set, blocking []vtime.Duration) (bool, error) {
 	for _, t := range s.Tasks {
 		if t.Cost > t.Deadline {
 			return false, nil
@@ -123,14 +131,12 @@ func feasibleWith(s *taskset.Set) (bool, error) {
 	if s.Utilization() > 1 {
 		return false, nil
 	}
-	wcrt, err := analysis.ResponseTimes(s)
-	if err != nil {
-		if err == analysis.ErrUnbounded {
-			return false, nil
-		}
-		// ResponseTimes wraps ErrUnbounded with the task name; treat
-		// any unbounded response as infeasible rather than fatal.
+	wcrt, err := analysis.ResponseTimes(s, blocking)
+	if errors.Is(err, analysis.ErrUnbounded) {
 		return false, nil
+	}
+	if err != nil {
+		return false, err
 	}
 	for i, t := range s.Tasks {
 		if wcrt[i] > t.Deadline {
@@ -164,7 +170,7 @@ type Table struct {
 // Compute runs the complete allowance analysis at the given
 // granularity (0 means DefaultGranularity).
 func Compute(s *taskset.Set, granularity vtime.Duration) (*Table, error) {
-	wcrt, err := analysis.ResponseTimes(s)
+	wcrt, err := analysis.ResponseTimes(s, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +178,7 @@ func Compute(s *taskset.Set, granularity vtime.Duration) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	eqWCRT, err := analysis.ResponseTimes(s.WithCostDelta(eq))
+	eqWCRT, err := analysis.ResponseTimes(s.WithCostDelta(eq), nil)
 	if err != nil {
 		return nil, fmt.Errorf("allowance: WCRT with equitable overruns: %w", err)
 	}

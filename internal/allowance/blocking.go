@@ -1,9 +1,9 @@
 package allowance
 
 import (
+	"errors"
 	"fmt"
 
-	"repro/internal/analysis"
 	"repro/internal/taskset"
 	"repro/internal/vtime"
 )
@@ -17,7 +17,7 @@ import (
 // monotonically with every b_i.
 func EquitableWithBlocking(s *taskset.Set, blocking []vtime.Duration, granularity vtime.Duration) (vtime.Duration, error) {
 	return search(granularity, func(delta vtime.Duration) (bool, error) {
-		return feasibleBlocked(s.WithCostDelta(delta), blocking)
+		return feasible(s.WithCostDelta(delta), blocking)
 	})
 }
 
@@ -32,21 +32,8 @@ func MaxBlockingTolerance(s *taskset.Set, allowanceGrant vtime.Duration, granula
 		for i := range blocking {
 			blocking[i] = b
 		}
-		return feasibleBlocked(inflated, blocking)
+		return feasible(inflated, blocking)
 	})
-}
-
-func feasibleBlocked(s *taskset.Set, blocking []vtime.Duration) (bool, error) {
-	for _, t := range s.Tasks {
-		if t.Cost > t.Deadline {
-			return false, nil
-		}
-	}
-	ok, err := analysis.FeasibleWithBlocking(s, blocking)
-	if err != nil {
-		return false, nil // unbounded at some level: infeasible
-	}
-	return ok, nil
 }
 
 // BlockingTable reports, for a range of uniform blocking terms, the
@@ -58,7 +45,8 @@ type BlockingTable struct {
 
 // SweepBlocking computes the allowance at each uniform blocking term
 // in steps of step up to max. Entries where the system is infeasible
-// even without any overrun carry a -1 sentinel.
+// even without any overrun carry a -1 sentinel; any other search error
+// fails the sweep.
 func SweepBlocking(s *taskset.Set, max, step vtime.Duration, granularity vtime.Duration) (*BlockingTable, error) {
 	if step <= 0 {
 		return nil, fmt.Errorf("allowance: step must be positive")
@@ -69,25 +57,17 @@ func SweepBlocking(s *taskset.Set, max, step vtime.Duration, granularity vtime.D
 		for i := range blocking {
 			blocking[i] = b
 		}
-		a, err := searchWithBase(granularity, func(delta vtime.Duration) (bool, error) {
-			return feasibleBlocked(s.WithCostDelta(delta), blocking)
+		a, err := search(granularity, func(delta vtime.Duration) (bool, error) {
+			return feasible(s.WithCostDelta(delta), blocking)
 		})
+		if errors.Is(err, errInfeasibleBase) {
+			a, err = -1, nil
+		}
+		if err != nil {
+			return nil, err
+		}
 		tab.Blocking = append(tab.Blocking, b)
 		tab.Allowance = append(tab.Allowance, a)
-		_ = err
 	}
 	return &tab, nil
-}
-
-// searchWithBase is search, but an infeasible base yields -1 instead
-// of an error (for sweeps that intentionally cross the boundary).
-func searchWithBase(granularity vtime.Duration, ok func(vtime.Duration) (bool, error)) (vtime.Duration, error) {
-	a, err := search(granularity, ok)
-	if err != nil {
-		if feas, ferr := ok(0); ferr == nil && !feas {
-			return -1, nil
-		}
-		return 0, err
-	}
-	return a, nil
 }

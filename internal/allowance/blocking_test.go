@@ -1,9 +1,11 @@
 package allowance
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/taskset"
 	"repro/internal/vtime"
 )
 
@@ -128,22 +130,39 @@ func TestCeilingBlockingDerivation(t *testing.T) {
 
 func TestResponseTimesWithBlocking(t *testing.T) {
 	s := table2()
-	wcrt, err := analysis.ResponseTimesWithBlocking(s, []vtime.Duration{ms(10), 0, 0})
+	wcrt, err := analysis.ResponseTimes(s, []vtime.Duration{ms(10), 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wcrt[0] != ms(39) || wcrt[1] != ms(58) || wcrt[2] != ms(87) {
 		t.Fatalf("WCRTs with b1=10: %v", wcrt)
 	}
-	if _, err := analysis.ResponseTimesWithBlocking(s, []vtime.Duration{ms(1)}); err == nil {
+	if _, err := analysis.ResponseTimes(s, []vtime.Duration{ms(1)}); err == nil {
 		t.Error("length mismatch must error")
 	}
-	ok, err := analysis.FeasibleWithBlocking(s, []vtime.Duration{0, 0, ms(33)})
+	ok, err := feasible(s, []vtime.Duration{0, 0, ms(33)})
 	if err != nil || !ok {
 		t.Errorf("b3=33 exactly fills τ3's slack: feasible, got %v %v", ok, err)
 	}
-	ok, err = analysis.FeasibleWithBlocking(s, []vtime.Duration{0, 0, ms(34)})
+	ok, err = feasible(s, []vtime.Duration{0, 0, ms(34)})
 	if err != nil || ok {
 		t.Errorf("b3=34 must be infeasible, got %v %v", ok, err)
+	}
+}
+
+// TestBlockingErrorsSurface pins that analysis errors reach the
+// caller instead of reading as "infeasible": a blocking vector of the
+// wrong length is a caller error, and a sweep whose search fails for
+// any reason other than an infeasible base fails as a whole.
+func TestBlockingErrorsSurface(t *testing.T) {
+	_, err := EquitableWithBlocking(table2(), []vtime.Duration{ms(1)}, 0)
+	if err == nil || !strings.Contains(err.Error(), "blocking has 1 entries for 3 tasks") {
+		t.Errorf("length mismatch: got %v", err)
+	}
+	// With no tasks nothing ever becomes infeasible: the search
+	// reports an unbounded allowance, which the sweep must not hide
+	// behind a zero entry.
+	if tab, err := SweepBlocking(&taskset.Set{}, ms(10), ms(10), 0); err == nil {
+		t.Errorf("unbounded search swallowed: got table %+v", tab)
 	}
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -39,9 +40,9 @@ func Feasible(s *taskset.Set) (*Report, error) {
 		rep.Unbounded = true
 		return rep, nil
 	}
-	wcrt, err := ResponseTimes(s)
+	wcrt, err := ResponseTimes(s, nil)
 	if err != nil {
-		if isUnbounded(err) {
+		if errors.Is(err, ErrUnbounded) {
 			rep.Unbounded = true
 			return rep, nil
 		}
@@ -58,11 +59,7 @@ func Feasible(s *taskset.Set) (*Report, error) {
 	return rep, nil
 }
 
-func isUnbounded(err error) bool {
-	return err != nil && strings.Contains(err.Error(), ErrUnbounded.Error())
-}
-
-// String renders the report as a table in the paper's layout
+// Render renders the report as a table in the paper's layout
 // (name, P, T, D, C, WCRT, verdict).
 func (r *Report) Render(s *taskset.Set) string {
 	var b strings.Builder

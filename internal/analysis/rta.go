@@ -35,8 +35,24 @@ const maxIterations = 1 << 20
 // max_q (R_q − q·Ti). An optional blocking term (from shared
 // resources, paper §7) is added once to every job's demand.
 func WCResponseTime(s *taskset.Set, i int, blocking vtime.Duration) (vtime.Duration, error) {
+	var rmax vtime.Duration
+	err := busyPeriod(s, i, blocking, func(q int64, rq vtime.Duration) {
+		if resp := rq - vtime.Duration(q)*s.Tasks[i].Period; resp > rmax {
+			rmax = resp
+		}
+	})
+	if err != nil {
+		return 0, err
+	}
+	return rmax, nil
+}
+
+// busyPeriod walks the level-i busy period started at the critical
+// instant: it hands every job's index q and completion R_q to visit,
+// and stops after the first job that completes within its own period.
+func busyPeriod(s *taskset.Set, i int, blocking vtime.Duration, visit func(q int64, rq vtime.Duration)) error {
 	if i < 0 || i >= s.Len() {
-		return 0, fmt.Errorf("analysis: task index %d out of range", i)
+		return fmt.Errorf("analysis: task index %d out of range", i)
 	}
 	// Divergence guard: the busy period closes iff the utilization of
 	// the task plus all higher-priority tasks is < 1, or equals 1 with
@@ -49,28 +65,22 @@ func WCResponseTime(s *taskset.Set, i int, blocking vtime.Duration) (vtime.Durat
 		load += s.Tasks[j].Utilization()
 	}
 	if load > 1 {
-		return 0, ErrUnbounded
+		return ErrUnbounded
 	}
-
-	self := s.Tasks[i]
-	var rmax vtime.Duration
+	period := s.Tasks[i].Period
 	for q := int64(0); ; q++ {
 		if q >= maxIterations {
-			return 0, ErrUnbounded
+			return ErrUnbounded
 		}
 		rq, err := jobCompletion(s, i, hp, q, blocking)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		resp := rq - vtime.Duration(q)*self.Period
-		if resp > rmax {
-			rmax = resp
-		}
-		if rq <= vtime.Duration(q+1)*self.Period {
-			break
+		visit(q, rq)
+		if rq <= vtime.Duration(q+1)*period {
+			return nil
 		}
 	}
-	return rmax, nil
 }
 
 // jobCompletion solves the fixed point for the completion time of the
@@ -124,40 +134,35 @@ type JobResponse struct {
 // response times may exceed the period, the worst case is not
 // necessarily the first job.
 func JobResponseTimes(s *taskset.Set, i int, blocking vtime.Duration) ([]JobResponse, error) {
-	hp := s.HigherOrEqualPriority(i)
-	load := s.Tasks[i].Utilization()
-	for _, j := range hp {
-		load += s.Tasks[j].Utilization()
-	}
-	if load > 1 {
-		return nil, ErrUnbounded
-	}
-	self := s.Tasks[i]
 	var out []JobResponse
-	for q := int64(0); ; q++ {
-		if q >= maxIterations {
-			return nil, ErrUnbounded
-		}
-		rq, err := jobCompletion(s, i, hp, q, blocking)
-		if err != nil {
-			return nil, err
-		}
-		rel := vtime.Duration(q) * self.Period
+	err := busyPeriod(s, i, blocking, func(q int64, rq vtime.Duration) {
+		rel := vtime.Duration(q) * s.Tasks[i].Period
 		out = append(out, JobResponse{Q: q, Release: rel, Completion: rq, Response: rq - rel})
-		if rq <= vtime.Duration(q+1)*self.Period {
-			break
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // ResponseTimes computes the WCRT of every task in the set, in the
-// set's declared order. Any task whose response time diverges yields
-// an error naming it.
-func ResponseTimes(s *taskset.Set) ([]vtime.Duration, error) {
+// set's declared order, with the given per-task blocking term added
+// once to each job's demand (the standard b_i treatment for
+// priority-ceiling style protocols, paper §7). blocking must have one
+// entry per task in set order; nil means no blocking anywhere. Any
+// task whose response time diverges yields an error naming it that
+// wraps ErrUnbounded.
+func ResponseTimes(s *taskset.Set, blocking []vtime.Duration) ([]vtime.Duration, error) {
+	if blocking != nil && len(blocking) != s.Len() {
+		return nil, fmt.Errorf("analysis: blocking has %d entries for %d tasks", len(blocking), s.Len())
+	}
 	out := make([]vtime.Duration, s.Len())
 	for i := range s.Tasks {
-		r, err := WCResponseTime(s, i, 0)
+		var b vtime.Duration
+		if blocking != nil {
+			b = blocking[i]
+		}
+		r, err := WCResponseTime(s, i, b)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: task %s: %w", s.Tasks[i].Name, err)
 		}
@@ -165,9 +170,6 @@ func ResponseTimes(s *taskset.Set) ([]vtime.Duration, error) {
 	}
 	return out, nil
 }
-
-// Utilization returns the system load U = Σ Ci/Ti (paper Eq. 1).
-func Utilization(s *taskset.Set) float64 { return s.Utilization() }
 
 // LoadTest applies the paper's Section 2.1 test: U > 1 means not
 // feasible; otherwise the load condition alone is inconclusive.
@@ -227,28 +229,4 @@ func (v Verdict) String() string {
 	default:
 		return "inconclusive"
 	}
-}
-
-// WCRTConstrained is the constrained-deadline (D ≤ T) fast path — the
-// Joseph–Pandya recurrence, which the paper's Figure 2 algorithm
-// reduces to when the q = 0 job already completes within its period.
-// It errors if the task's deadline exceeds its period (callers should
-// use WCResponseTime there).
-func WCRTConstrained(s *taskset.Set, i int, blocking vtime.Duration) (vtime.Duration, error) {
-	if i < 0 || i >= s.Len() {
-		return 0, fmt.Errorf("analysis: task index %d out of range", i)
-	}
-	t := s.Tasks[i]
-	if t.Deadline > t.Period {
-		return 0, fmt.Errorf("analysis: task %s has D > T; use WCResponseTime", t.Name)
-	}
-	hp := s.HigherOrEqualPriority(i)
-	r, err := jobCompletion(s, i, hp, 0, blocking)
-	if err != nil {
-		return 0, err
-	}
-	// With D ≤ T a response beyond the period is already a deadline
-	// miss; report the fixed point regardless so the caller compares
-	// against D (matching the general algorithm's q = 0 value).
-	return r, nil
 }

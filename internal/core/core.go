@@ -11,6 +11,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/allowance"
@@ -147,21 +148,20 @@ func NewSystem(cfg Config) (*System, error) {
 	if !s.admitted() {
 		return s, nil
 	}
-	adm, err := analysis.Feasible(cfg.Tasks)
-	if err != nil {
-		return nil, err
-	}
-	if !adm.Feasible {
-		return nil, fmt.Errorf("core: admission control rejects the system (misses: %v)", adm.Misses)
-	}
-	s.adm = adm
-	s.sup, err = detect.NewSupervisor(cfg.Tasks, detect.Config{
+	sup, err := detect.NewSupervisor(cfg.Tasks, detect.Config{
 		Treatment:       cfg.Treatment,
 		TimerResolution: cfg.TimerResolution,
 	})
+	// The supervisor's rejection names the misses; a run reports it
+	// under its own prefix.
+	var rej interface{ Misses() []string }
+	if errors.As(err, &rej) {
+		return nil, fmt.Errorf("core: admission control rejects the system (misses: %v)", rej.Misses())
+	}
 	if err != nil {
 		return nil, err
 	}
+	s.sup, s.adm = sup, sup.Admission()
 	return s, nil
 }
 

@@ -87,8 +87,6 @@ type Config struct {
 	// jRate's PeriodicTimer whose releases are only accurate at
 	// multiples of 10 ms (paper §6.2). Zero means exact timers.
 	TimerResolution vtime.Duration
-	// Granularity is the allowance search resolution (0 = 1 ms).
-	Granularity vtime.Duration
 }
 
 // DefaultTimerResolution reproduces jRate's 10 ms PeriodicTimer.
@@ -127,6 +125,7 @@ type taskPlan struct {
 // allowance analysis), then Attach it to an engine before Run.
 type Supervisor struct {
 	cfg   Config
+	adm   *analysis.Report
 	table *allowance.Table
 	plans map[string]*taskPlan
 	set   *taskset.Set
@@ -140,40 +139,57 @@ type Supervisor struct {
 // theoretically feasible — the paper's premise is a system accepted by
 // admission control that faults at runtime anyway.
 func NewSupervisor(s *taskset.Set, cfg Config) (*Supervisor, error) {
-	rep, err := analysis.Feasible(s)
-	if err != nil {
-		return nil, err
-	}
-	if !rep.Feasible {
-		return nil, fmt.Errorf("detect: admission control rejects the system (misses: %v)", rep.Misses)
-	}
-	tab, err := allowance.Compute(s, cfg.Granularity)
+	rep, tab, err := admit(s, "the system")
 	if err != nil {
 		return nil, err
 	}
 	sup := &Supervisor{
 		cfg:   cfg,
+		adm:   rep,
 		table: tab,
 		plans: make(map[string]*taskPlan, s.Len()),
 		set:   s.Clone(),
 	}
-	for i, t := range s.Tasks {
-		off := tab.WCRT[i]
-		if cfg.Treatment == Equitable {
-			// §4.2: tasks are stopped after the new worst case
-			// response times which take the allowance into account.
-			off = tab.EquitableWCRT[i]
-		}
-		sup.plans[t.Name] = &taskPlan{
-			task:         t,
-			wcrt:         tab.WCRT[i],
-			detectOffset: off.Ceil(cfg.TimerResolution),
-			maxOverrun:   tab.MaxOverrun[i],
-			faultyQ:      -1,
-		}
-	}
+	sup.rebuildPlans()
 	return sup, nil
 }
+
+// admit is the admission step every change to the supervised set goes
+// through: the exact Figure 2 test, rejection naming the deadline
+// misses, then the allowance table the detectors are armed from.
+func admit(set *taskset.Set, subject string) (*analysis.Report, *allowance.Table, error) {
+	rep, err := analysis.Feasible(set)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !rep.Feasible {
+		return nil, nil, &rejection{subject: subject, misses: rep.Misses}
+	}
+	tab, err := allowance.Compute(set, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rep, tab, nil
+}
+
+// rejection is admission control's refusal: the exact test found
+// tasks whose WCRT exceeds the deadline. Callers reporting it under
+// their own name read the misses through the Misses method.
+type rejection struct {
+	subject string
+	misses  []string
+}
+
+func (r *rejection) Error() string {
+	return fmt.Sprintf("detect: admission control rejects %s (misses: %v)", r.subject, r.misses)
+}
+
+// Misses names the tasks whose WCRT exceeds the deadline.
+func (r *rejection) Misses() []string { return r.misses }
+
+// Admission returns the feasibility report of the supervised set as
+// last admitted.
+func (s *Supervisor) Admission() *analysis.Report { return s.adm }
 
 // Table exposes the allowance analysis backing the detectors.
 func (s *Supervisor) Table() *allowance.Table { return s.table }
@@ -360,7 +376,7 @@ func (s *Supervisor) ReclaimTable(minJobs int64) (*allowance.Table, error) {
 			observed.Tasks[i].Cost = p.maxExecuted
 		}
 	}
-	return allowance.Compute(observed, s.cfg.Granularity)
+	return allowance.Compute(observed, 0)
 }
 
 // AdmitTask implements dynamic admission (paper §7): it re-runs
@@ -371,17 +387,7 @@ func (s *Supervisor) ReclaimTable(minJobs int64) (*allowance.Table, error) {
 func (s *Supervisor) AdmitTask(e *engine.Engine, t taskset.Task) error {
 	cand := s.set.Clone()
 	cand.Tasks = append(cand.Tasks, t)
-	if err := cand.Validate(); err != nil {
-		return err
-	}
-	rep, err := analysis.Feasible(cand)
-	if err != nil {
-		return err
-	}
-	if !rep.Feasible {
-		return fmt.Errorf("detect: admission control rejects task %s (misses: %v)", t.Name, rep.Misses)
-	}
-	tab, err := allowance.Compute(cand, s.cfg.Granularity)
+	rep, tab, err := admit(cand, "task "+t.Name)
 	if err != nil {
 		return err
 	}
@@ -393,8 +399,7 @@ func (s *Supervisor) AdmitTask(e *engine.Engine, t taskset.Task) error {
 	// absolute first release so detector arming matches (offsets do
 	// not affect the critical-instant feasibility analysis above).
 	cand.Tasks[len(cand.Tasks)-1].Offset += vtime.Duration(now)
-	s.set = cand
-	s.table = tab
+	s.set, s.adm, s.table = cand, rep, tab
 	s.rebuildPlans()
 	if s.cfg.Treatment != NoDetection {
 		s.scheduleDetector(e, t.Name, 0)
@@ -412,11 +417,11 @@ func (s *Supervisor) RemoveTask(e *engine.Engine, name string) error {
 	e.RemoveTask(name, e.Now())
 	s.set.Tasks = append(s.set.Tasks[:idx], s.set.Tasks[idx+1:]...)
 	delete(s.plans, name)
-	tab, err := allowance.Compute(s.set, s.cfg.Granularity)
+	rep, tab, err := admit(s.set, "the system")
 	if err != nil {
 		return err
 	}
-	s.table = tab
+	s.adm, s.table = rep, tab
 	s.rebuildPlans()
 	return nil
 }
@@ -427,6 +432,8 @@ func (s *Supervisor) rebuildPlans() {
 	for i, t := range s.set.Tasks {
 		off := s.table.WCRT[i]
 		if s.cfg.Treatment == Equitable {
+			// §4.2: tasks are stopped after the new worst case
+			// response times which take the allowance into account.
 			off = s.table.EquitableWCRT[i]
 		}
 		p, ok := s.plans[t.Name]

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -47,8 +48,12 @@ func TestSupervisorRejectsInfeasibleSystem(t *testing.T) {
 		taskset.Task{Name: "a", Priority: 2, Period: ms(10), Deadline: ms(5), Cost: ms(5)},
 		taskset.Task{Name: "b", Priority: 1, Period: ms(10), Deadline: ms(6), Cost: ms(5)},
 	)
-	if _, err := NewSupervisor(s, Config{Treatment: Stop}); err == nil {
+	_, err := NewSupervisor(s, Config{Treatment: Stop})
+	if err == nil {
 		t.Fatal("supervisor must reject a system that fails admission control")
+	}
+	if want := "detect: admission control rejects the system (misses: [b])"; err.Error() != want {
+		t.Errorf("rejection = %q, want %q", err, want)
 	}
 }
 
@@ -299,13 +304,21 @@ func TestDynamicAdmission(t *testing.T) {
 	}
 	sup.Attach(e)
 	e.Schedule(at(250), func(now vtime.Time) {
-		// Admissible: C=30, T=200 at priority 5 → WCRT = 30+2*20=70.
+		// Admissible: C=30, T=200 at priority 5 → WCRT = 30+20 = 50.
 		if err := sup.AdmitTask(e, taskset.Task{Name: "b", Priority: 5, Period: ms(200), Deadline: ms(200), Cost: ms(30)}); err != nil {
 			t.Errorf("AdmitTask(b): %v", err)
 		}
 		// Inadmissible: would need 150ms every 100ms alongside a.
-		if err := sup.AdmitTask(e, taskset.Task{Name: "c", Priority: 4, Period: ms(100), Deadline: ms(100), Cost: ms(90)}); err == nil {
-			t.Error("AdmitTask(c) must be rejected by admission control")
+		err := sup.AdmitTask(e, taskset.Task{Name: "c", Priority: 4, Period: ms(100), Deadline: ms(100), Cost: ms(90)})
+		if want := "detect: admission control rejects task c"; err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("AdmitTask(c) = %v, want rejection %q", err, want)
+		}
+		// The report and the table are those of the admitted {a, b}.
+		if wcrt := sup.Admission().WCRT; len(wcrt) != 2 || wcrt[1] != ms(50) {
+			t.Errorf("admission WCRTs after AdmitTask(b) = %v, want [20ms 50ms]", wcrt)
+		}
+		if n := len(sup.Table().WCRT); n != 2 {
+			t.Errorf("allowance table covers %d tasks, want 2", n)
 		}
 	})
 	e.Run()
@@ -334,6 +347,9 @@ func TestRemoveTaskFreesAllowance(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := sup.Table().Equitable
+	if rep := sup.Admission(); !rep.Feasible || len(rep.WCRT) != 3 {
+		t.Fatalf("admission report before removal: %+v", rep)
+	}
 	e, err := engine.New(engine.Config{Tasks: figureSet(), End: at(5000), Hooks: sup.Hooks()})
 	if err != nil {
 		t.Fatal(err)
@@ -349,6 +365,9 @@ func TestRemoveTaskFreesAllowance(t *testing.T) {
 	})
 	e.Run()
 	after := sup.Table().Equitable
+	if n := len(sup.Admission().WCRT); n != 2 {
+		t.Errorf("admission report covers %d tasks after removing tau3, want 2", n)
+	}
 	if after < before {
 		t.Errorf("allowance shrank after removing a task: %v -> %v", before, after)
 	}

@@ -75,7 +75,7 @@ func (s *Scheduler) ResponseTimes() ([]vtime.Duration, error) {
 	if err != nil {
 		return nil, err
 	}
-	return analysis.ResponseTimes(set)
+	return analysis.ResponseTimes(set, nil)
 }
 
 // ExtendedTreatment selects the RealtimeThreadExtended behaviour on

@@ -134,13 +134,19 @@ func (d Duration) String() string {
 	if frac == 0 {
 		return strconv.FormatInt(ms, 10) + "ms"
 	}
+	sign := ""
 	if frac < 0 {
 		frac = -frac
+		if ms == 0 {
+			// In (−1ms, 0) the whole part is 0 and cannot carry the
+			// sign itself.
+			sign = "-"
+		}
 	}
 	s := strconv.FormatInt(frac, 10)
 	s = strings.Repeat("0", 6-len(s)) + s
 	s = strings.TrimRight(s, "0")
-	return fmt.Sprintf("%d.%sms", ms, s)
+	return fmt.Sprintf("%s%d.%sms", sign, ms, s)
 }
 
 // ParseDuration parses a duration written with one of the suffixes

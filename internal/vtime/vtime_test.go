@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -111,10 +112,12 @@ func TestQuickCeilFloorInvariants(t *testing.T) {
 
 func TestStrings(t *testing.T) {
 	cases := map[Duration]string{
-		Millis(29):              "29ms",
-		Millis(1) + Micros(500): "1.5ms",
-		0:                       "0ms",
-		Nanos(1):                "0.000001ms",
+		Millis(29):               "29ms",
+		Millis(1) + Micros(500):  "1.5ms",
+		0:                        "0ms",
+		Nanos(1):                 "0.000001ms",
+		-Micros(500):             "-0.5ms",
+		-Millis(1) - Micros(500): "-1.5ms",
 	}
 	for d, want := range cases {
 		if d.String() != want {
@@ -167,6 +170,21 @@ func TestParseFormatsRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzDurationRoundTrip pins the codec contract the scenario digest
+// relies on: every duration renders to text that parses back to the
+// same value, so two different durations never share an encoding.
+func FuzzDurationRoundTrip(f *testing.F) {
+	for _, d := range []int64{-1, -500000, -1500000, 0, math.MinInt64, math.MaxInt64} {
+		f.Add(d)
+	}
+	f.Fuzz(func(t *testing.T, d int64) {
+		back, err := ParseDuration(Duration(d).String())
+		if err != nil || back != Duration(d) {
+			t.Fatalf("ParseDuration(%q) = %d, %v; want %d", Duration(d).String(), back, err, d)
+		}
+	})
 }
 
 func TestMinMax(t *testing.T) {

@@ -111,3 +111,39 @@ func TestDigestFormatIndependent(t *testing.T) {
 		t.Error("semantically different scenario produced the same digest")
 	}
 }
+
+// TestDigestKeepsSubMillisecondSign pins that durations in (−1ms, 0)
+// keep their sign in the canonical encoding: a fault extra or a
+// context switch of −0.5 ms and of +0.5 ms simulate differently, so
+// they must not share a cache address.
+func TestDigestKeepsSubMillisecondSign(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "scenarios", "figure5.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := func(doc string) string {
+		t.Helper()
+		sc, err := Decode(strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		d, err := sc.Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	for _, edit := range []struct{ old, neg, pos string }{
+		{`"extra": "40ms"`, `"extra": "-0.5ms"`, `"extra": "0.5ms"`},
+		{`"horizon": "1500ms"`, `"horizon": "1500ms", "context_switch": "-0.5ms"`, `"horizon": "1500ms", "context_switch": "0.5ms"`},
+	} {
+		neg := digest(strings.Replace(string(raw), edit.old, edit.neg, 1))
+		pos := digest(strings.Replace(string(raw), edit.old, edit.pos, 1))
+		if neg == pos {
+			t.Errorf("%s and %s share digest %s", edit.neg, edit.pos, neg)
+		}
+	}
+}

@@ -5,7 +5,7 @@ GO ?= go
 # bash for pipefail in bench-json.
 SHELL := /bin/bash
 
-.PHONY: build test race bench bench-json bench-gate script-lint fmt vet fmt-check perfbench-check x11 x12 x13 x14 x15 fuzz-smoke serve-smoke ci
+.PHONY: build test race bench bench-json bench-gate script-lint fmt vet fmt-check perfbench-check x11 x12 x13 x14 x15 fuzz-smoke serve-smoke examples-smoke ci
 
 build:
 	$(GO) build ./...
@@ -120,6 +120,11 @@ x15:
 serve-smoke:
 	scripts/serve_smoke.sh
 
+# Run every examples/* program: each must exit 0, and
+# examples/dynamic's rejection must name the rejected task.
+examples-smoke:
+	scripts/examples_smoke.sh
+
 # Short native-fuzz smoke over the scenario space, the log codec, the
 # checkpoint split/resume differential, rtserved's answers to a
 # repeated body, and the duration codec's round trip. FuzzServeRepeat's inputs are whole scenario documents,
@@ -133,4 +138,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzServeRepeat -fuzztime 10s -fuzzminimizetime 100x ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzDurationRoundTrip -fuzztime 10s ./internal/vtime
 
-ci: build vet fmt-check script-lint perfbench-check race bench-json bench-gate x11 x12 x13 x14 x15 serve-smoke
+ci: build examples-smoke vet fmt-check script-lint perfbench-check race bench-json bench-gate x11 x12 x13 x14 x15 serve-smoke

@@ -335,7 +335,7 @@ func BenchmarkDynamicAdmission(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		e, err := engine.New(engine.Config{Tasks: base, End: vtime.AtMillis(2000), Hooks: sup.Hooks()})
+		e, err := engine.New(engine.Config{Tasks: base, End: vtime.AtMillis(2000)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -409,7 +409,6 @@ func engineThroughput(b *testing.B, mode engine.Collect) {
 			End:     vtime.Time(30 * vtime.Second),
 			Collect: mode,
 			Sink:    sink,
-			Hooks:   sup.Hooks(),
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -426,23 +426,33 @@ func TestFastForwardFlagConflicts(t *testing.T) {
 // TestAdmissionRejectionMessage pins the whole message an infeasible
 // -tasks run fails with, package prefix included, under a treatment
 // and without one: the Table 2 system with every cost at 65 ms misses
-// τ2's and τ3's deadlines.
+// τ2's and τ3's deadlines, and an overloaded set (U > 1) names the task
+// whose response time diverges.
 func TestAdmissionRejectionMessage(t *testing.T) {
-	tasks := filepath.Join(t.TempDir(), "infeasible.tasks")
-	spec := "task tau1 priority=20 period=200 deadline=70 cost=65\n" +
-		"task tau2 priority=18 period=250 deadline=120 cost=65\n" +
-		"task tau3 priority=16 period=1500 deadline=120 cost=65\n"
-	if err := os.WriteFile(tasks, []byte(spec), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	const want = "rtrun: core: admission control rejects the system (misses: [tau2 tau3])\n"
-	for _, treatment := range []string{"none", "stop"} {
-		var stdout, stderr bytes.Buffer
-		if code := run([]string{"-tasks", tasks, "-treatment", treatment}, &stdout, &stderr); code != 1 {
-			t.Errorf("treatment %s: exit %d, want 1", treatment, code)
+	for _, c := range []struct {
+		name, spec, misses string
+	}{
+		{"wcrt", "task tau1 priority=20 period=200 deadline=70 cost=65\n" +
+			"task tau2 priority=18 period=250 deadline=120 cost=65\n" +
+			"task tau3 priority=16 period=1500 deadline=120 cost=65\n", "[tau2 tau3]"},
+		// U = 1.1: tau1 alone is bounded and meets its deadline; tau2's
+		// response time diverges.
+		{"overload", "task tau1 priority=20 period=100 deadline=100 cost=50\n" +
+			"task tau2 priority=18 period=100 deadline=100 cost=60\n", "[tau2]"},
+	} {
+		tasks := filepath.Join(t.TempDir(), c.name+".tasks")
+		if err := os.WriteFile(tasks, []byte(c.spec), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if stderr.String() != want {
-			t.Errorf("treatment %s: stderr %q, want %q", treatment, stderr.String(), want)
+		want := "rtrun: core: admission control rejects the system (misses: " + c.misses + ")\n"
+		for _, treatment := range []string{"none", "stop"} {
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{"-tasks", tasks, "-treatment", treatment}, &stdout, &stderr); code != 1 {
+				t.Errorf("%s, treatment %s: exit %d, want 1", c.name, treatment, code)
+			}
+			if stderr.String() != want {
+				t.Errorf("%s, treatment %s: stderr %q, want %q", c.name, treatment, stderr.String(), want)
+			}
 		}
 	}
 }

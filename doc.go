@@ -106,8 +106,8 @@
 // The engine's core loop dispatches typed, pointer-free event records
 // (release, deadline check, completion prediction) through a switch
 // instead of heap-allocated closures, so the steady-state loop
-// allocates nothing per event; only external timers — detectors,
-// supervisor stops, test hooks — carry a callback. Cancellation is
+// allocates nothing per event; only external timers — detectors and
+// supervisor stops — carry a callback. Cancellation is
 // eager: the event heap tracks the position of every cancellable
 // entry, a job's deadline check is removed the instant the job
 // finishes, and the single completion prediction is rekeyed in place

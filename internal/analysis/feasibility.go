@@ -24,37 +24,40 @@ type Report struct {
 	// Unbounded is true when U > 1 at some priority level and
 	// response times diverge; the system is then infeasible.
 	Unbounded bool
-	// Misses names the tasks whose WCRT exceeds the deadline.
+	// Misses names, in set order, the tasks that fail the test: each
+	// task whose response time diverges (its own plus higher-or-equal
+	// priority load exceeds 1) and each bounded task whose WCRT
+	// exceeds its deadline.
 	Misses []string
 }
 
 // Feasible runs the exact admission control: the Eq. 1 load test
 // followed by the Figure 2 response-time computation for every task,
-// comparing each WCRT to its deadline.
+// comparing each WCRT to its deadline. An overloaded set still gets
+// the per-task computation, so a rejection names the tasks at fault.
 func Feasible(s *taskset.Set) (*Report, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	rep := &Report{Utilization: s.Utilization()}
-	if rep.Utilization > 1 {
-		rep.Unbounded = true
-		return rep, nil
-	}
-	wcrt, err := ResponseTimes(s, nil)
-	if err != nil {
-		if errors.Is(err, ErrUnbounded) {
-			rep.Unbounded = true
-			return rep, nil
-		}
-		return nil, err
-	}
-	rep.WCRT = wcrt
-	rep.Feasible = true
+	rep.Unbounded = rep.Utilization > 1
+	wcrt := make([]vtime.Duration, s.Len())
 	for i, t := range s.Tasks {
-		if wcrt[i] > t.Deadline {
-			rep.Feasible = false
+		r, err := WCResponseTime(s, i, 0)
+		switch {
+		case errors.Is(err, ErrUnbounded):
+			rep.Unbounded = true
+			rep.Misses = append(rep.Misses, t.Name)
+		case err != nil:
+			return nil, err
+		case r > t.Deadline:
 			rep.Misses = append(rep.Misses, t.Name)
 		}
+		wcrt[i] = r
+	}
+	if !rep.Unbounded {
+		rep.WCRT = wcrt
+		rep.Feasible = len(rep.Misses) == 0
 	}
 	return rep, nil
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -205,6 +206,29 @@ func TestFeasibleOverload(t *testing.T) {
 	}
 	if !rep.Unbounded || rep.Feasible {
 		t.Fatalf("U=1.4 must report unbounded: %+v", rep)
+	}
+}
+
+// TestFeasibleOverloadNamesMisses: an overloaded set (U = 1.1) still
+// names its failing tasks, in set order: c, whose own plus
+// higher-priority load exceeds 1, and b, bounded but with WCRT 6 ms
+// past its 4 ms deadline. a is bounded and meets its deadline. WCRT
+// stays unset, as for any unbounded report.
+func TestFeasibleOverloadNamesMisses(t *testing.T) {
+	s := taskset.MustNew(
+		taskset.Task{Name: "c", Priority: 1, Period: ms(10), Deadline: ms(10), Cost: ms(5)},
+		taskset.Task{Name: "a", Priority: 3, Period: ms(10), Deadline: ms(10), Cost: ms(3)},
+		taskset.Task{Name: "b", Priority: 2, Period: ms(10), Deadline: ms(4), Cost: ms(3)},
+	)
+	rep, err := Feasible(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Unbounded || rep.Feasible || rep.WCRT != nil {
+		t.Fatalf("U=1.1 must report unbounded and infeasible without WCRTs: %+v", rep)
+	}
+	if got := fmt.Sprint(rep.Misses); got != "[c b]" {
+		t.Errorf("misses = %s, want [c b]", got)
 	}
 }
 

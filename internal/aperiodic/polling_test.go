@@ -178,7 +178,7 @@ func TestDetectorsApplyToServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := engine.New(engine.Config{Tasks: set, Faults: plan, End: at(1000), Hooks: sup.Hooks()})
+	e, err := engine.New(engine.Config{Tasks: set, Faults: plan, End: at(1000)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,7 +169,7 @@ func NewSystem(cfg Config) (*System, error) {
 func (s *System) admitted() bool { return !s.cfg.SkipAdmission && s.cfg.CPUs <= 1 }
 
 // engineConfig maps the configuration onto the engine; prepare adds
-// the sink chain, observer and hooks.
+// the sink chain and observer.
 func (s *System) engineConfig() engine.Config {
 	return engine.Config{
 		Tasks:         s.cfg.Tasks,
@@ -265,9 +265,6 @@ func (s *System) prepare() (*prepared, error) {
 	}
 	if s.cfg.Checker != nil {
 		ecfg.Sink = trace.Tee(s.cfg.Checker, ecfg.Sink)
-	}
-	if s.sup != nil {
-		ecfg.Hooks = s.sup.Hooks()
 	}
 	eng, err := engine.New(ecfg)
 	if err != nil {

@@ -93,10 +93,9 @@ type Config struct {
 const DefaultTimerResolution = 10 * vtime.Millisecond
 
 // taskPlan is the per-task detection parameterization derived from
-// admission control, plus the per-task runtime statistics. Keeping
-// the mutable counters here — one plan lookup per completion instead
-// of a map operation per counter — keeps the supervisor off the
-// engine's hot path.
+// admission control. Each task's detector timer holds its plan, so
+// re-admission (rebuildPlans, which updates plans in place) and
+// removal reach the timer without a lookup.
 type taskPlan struct {
 	task taskset.Task
 	// wcrt is the nominal worst-case response time.
@@ -106,18 +105,8 @@ type taskPlan struct {
 	detectOffset vtime.Duration
 	// maxOverrun is the §4.3 single-task bound.
 	maxOverrun vtime.Duration
-
-	// faultyQ is the job index flagged by the detector's most recent
-	// detection, -1 while no flagged job is outstanding.
-	faultyQ int64
-	// maxExecuted is the largest CPU time any completed job actually
-	// consumed — the §7 cost under-run observation ("if the cost of a
-	// task can be underestimated, it is also possible to overestimate
-	// it").
-	maxExecuted vtime.Duration
-	// completedJobs counts completions, so reclamation only trusts
-	// tasks with evidence.
-	completedJobs int64
+	// removed ends the task's detector chain (RemoveTask).
+	removed bool
 }
 
 // Supervisor owns the detectors and treatments for one run. Build it
@@ -216,19 +205,19 @@ func (s *Supervisor) Attach(e *engine.Engine) {
 		return
 	}
 	for _, t := range s.set.Tasks {
-		s.scheduleDetector(e, t.Name, 0)
+		s.scheduleDetector(e, s.plans[t.Name])
 	}
 }
 
-// scheduleDetector arms the detector for job q of the task. The
+// scheduleDetector arms the task's detector from its first job. The
 // detector is periodic (one real-time timer per task, §3: "This
 // periodic approach enables us to avoid the creation of an instance
 // of a detector for each job"); we model it as a self-rescheduling
 // timer, which also supports dynamic task addition (§7). The timer
 // state and its callback are allocated once per task and reused at
 // every re-arm, so a steady-state detector fire costs no allocation.
-func (s *Supervisor) scheduleDetector(e *engine.Engine, name string, q int64) {
-	dt := &detectorTimer{s: s, e: e, name: name, tid: e.TaskID(name), q: q}
+func (s *Supervisor) scheduleDetector(e *engine.Engine, p *taskPlan) {
+	dt := &detectorTimer{s: s, e: e, p: p, tid: e.TaskID(p.task.Name)}
 	dt.fn = func(now vtime.Time) {
 		dt.s.fire(dt, now)
 		dt.q++
@@ -238,23 +227,22 @@ func (s *Supervisor) scheduleDetector(e *engine.Engine, name string, q int64) {
 }
 
 // detectorTimer is one task's periodic detector: a self-rescheduling
-// timer whose single closure survives across fires. tid caches the
-// engine's task handle so a fire resolves the checked job without a
-// name lookup.
+// timer whose single closure survives across fires. It holds the
+// task's plan and caches the engine's task handle, so neither arming
+// nor a fire looks the task up by name.
 type detectorTimer struct {
-	s    *Supervisor
-	e    *engine.Engine
-	name string
-	tid  int
-	q    int64
-	fn   func(now vtime.Time)
+	s   *Supervisor
+	e   *engine.Engine
+	p   *taskPlan
+	tid int
+	q   int64
+	fn  func(now vtime.Time)
 }
 
-// arm schedules the check of job q; a removed task (no plan) lets the
-// chain end.
+// arm schedules the check of job q; a removed task lets the chain end.
 func (dt *detectorTimer) arm() {
-	p, ok := dt.s.plans[dt.name]
-	if !ok {
+	p := dt.p
+	if p.removed {
 		return
 	}
 	at := vtime.Time(p.task.Offset).
@@ -267,21 +255,17 @@ func (dt *detectorTimer) arm() {
 // kept up to date by waitForNextPeriod (§3.1) and start a treatment
 // when the job is late.
 func (s *Supervisor) fire(dt *detectorTimer, now vtime.Time) {
-	e, name, q := dt.e, dt.name, dt.q
-	p, ok := s.plans[name]
-	if !ok {
+	e, p, tid, q := dt.e, dt.p, dt.tid, dt.q
+	if p.removed {
 		return // task removed since the timer was armed
 	}
+	name := p.task.Name
 	e.Record(trace.Event{At: now, Kind: trace.DetectorRelease, Task: name, Job: q})
-	j, exists := e.JobAtID(dt.tid, q)
+	j, exists := e.JobAtID(tid, q)
 	if !exists || j.Done() {
-		// Job finished in time (or was dropped): if it was flagged
-		// faulty by an earlier detector and completed since,
-		// ObserveCompletion already cleared the flag.
-		return
+		return // finished in time (or dropped)
 	}
 	s.detections++
-	p.faultyQ = q
 	e.Record(trace.Event{At: now, Kind: trace.FaultDetected, Task: name, Job: q})
 	switch s.cfg.Treatment {
 	case DetectOnly:
@@ -313,70 +297,11 @@ func (s *Supervisor) fire(dt *detectorTimer, now vtime.Time) {
 			stopAt = now
 		}
 		e.Schedule(stopAt, func(at vtime.Time) {
-			if jj, ok := e.JobAt(name, q); ok && !jj.Done() {
+			if jj, ok := e.JobAtID(tid, q); ok && !jj.Done() {
 				e.StopJob(name, q, at)
 			}
 		})
 	}
-}
-
-// ObserveCompletion must be wired to the engine's OnFinish and
-// OnStopped hooks: it clears the faulty flag once the flagged job
-// terminates (the paper's leftover redistribution is emergent in the
-// time domain, see the SystemAllowance case in fire) and maintains
-// the §7 cost under-run statistics for every completed job.
-func (s *Supervisor) ObserveCompletion(e *engine.Engine, j *engine.Job) {
-	p, ok := s.plans[j.TaskName()]
-	if !ok {
-		return
-	}
-	if !j.Stopped() {
-		p.completedJobs++
-		if j.Executed > p.maxExecuted {
-			p.maxExecuted = j.Executed
-		}
-	}
-	if p.faultyQ == j.Q {
-		p.faultyQ = -1
-	}
-}
-
-// Hooks returns engine hooks pre-wired to the supervisor. Compose
-// with any caller hooks before building the engine config.
-func (s *Supervisor) Hooks() engine.Hooks {
-	return engine.Hooks{
-		OnFinish:  s.ObserveCompletion,
-		OnStopped: s.ObserveCompletion,
-	}
-}
-
-// ObservedCost returns the largest CPU consumption seen across the
-// task's completed jobs and how many completions back it. A value
-// well under the declared cost is the paper's §7 cost under-run: the
-// declaration was pessimistic and resources can be reassigned.
-func (s *Supervisor) ObservedCost(task string) (vtime.Duration, int64) {
-	p, ok := s.plans[task]
-	if !ok {
-		return 0, 0
-	}
-	return p.maxExecuted, p.completedJobs
-}
-
-// ReclaimTable recomputes the allowance analysis with every declared
-// cost replaced by the observed maximum (for tasks with at least
-// minJobs completions; others keep their declaration) — the §7
-// "reassign resources" step. The reclaimed allowances are at least
-// the nominal ones, strictly larger when some task under-runs.
-func (s *Supervisor) ReclaimTable(minJobs int64) (*allowance.Table, error) {
-	observed := s.set.Clone()
-	for i := range observed.Tasks {
-		p, ok := s.plans[observed.Tasks[i].Name]
-		if ok && p.completedJobs >= minJobs && p.maxExecuted > 0 &&
-			p.maxExecuted < observed.Tasks[i].Cost {
-			observed.Tasks[i].Cost = p.maxExecuted
-		}
-	}
-	return allowance.Compute(observed, 0)
 }
 
 // AdmitTask implements dynamic admission (paper §7): it re-runs
@@ -402,7 +327,7 @@ func (s *Supervisor) AdmitTask(e *engine.Engine, t taskset.Task) error {
 	s.set, s.adm, s.table = cand, rep, tab
 	s.rebuildPlans()
 	if s.cfg.Treatment != NoDetection {
-		s.scheduleDetector(e, t.Name, 0)
+		s.scheduleDetector(e, s.plans[t.Name])
 	}
 	return nil
 }
@@ -416,6 +341,7 @@ func (s *Supervisor) RemoveTask(e *engine.Engine, name string) error {
 	}
 	e.RemoveTask(name, e.Now())
 	s.set.Tasks = append(s.set.Tasks[:idx], s.set.Tasks[idx+1:]...)
+	s.plans[name].removed = true
 	delete(s.plans, name)
 	rep, tab, err := admit(s.set, "the system")
 	if err != nil {
@@ -438,7 +364,7 @@ func (s *Supervisor) rebuildPlans() {
 		}
 		p, ok := s.plans[t.Name]
 		if !ok {
-			p = &taskPlan{faultyQ: -1}
+			p = &taskPlan{}
 			s.plans[t.Name] = p
 		}
 		p.task = t

@@ -34,7 +34,6 @@ func runFigure(t *testing.T, tr Treatment) (*engine.Engine, *Supervisor, *trace.
 		Tasks:  figureSet(),
 		Faults: fault.Plan{"tau1": fault.OverrunAt{Job: 5, Extra: ms(40)}},
 		End:    at(1500),
-		Hooks:  sup.Hooks(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +213,7 @@ func TestFaultFreeRunNoDetections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := engine.New(engine.Config{Tasks: figureSet(), End: at(3000), Hooks: sup.Hooks()})
+	e, err := engine.New(engine.Config{Tasks: figureSet(), End: at(3000)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +240,7 @@ func TestExactTimersNoFalsePositive(t *testing.T) {
 	if off, _ := sup.DetectorOffset("solo"); off != ms(5) {
 		t.Fatalf("exact detector offset = %v, want 5ms", off)
 	}
-	e, err := engine.New(engine.Config{Tasks: s, End: at(100), Hooks: sup.Hooks()})
+	e, err := engine.New(engine.Config{Tasks: s, End: at(100)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +262,6 @@ func TestRecurringFaultsStopEveryOccurrence(t *testing.T) {
 		Tasks:  figureSet(),
 		Faults: fault.Plan{"tau1": fault.OverrunEvery{First: 1, K: 2, Extra: ms(50)}},
 		End:    at(3000),
-		Hooks:  sup.Hooks(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +295,6 @@ func TestDynamicAdmission(t *testing.T) {
 		Tasks:  base,
 		Faults: fault.Plan{"b": fault.OverrunEvery{First: 0, K: 1, Extra: ms(100)}},
 		End:    at(2000),
-		Hooks:  sup.Hooks(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -340,7 +337,9 @@ func TestDynamicAdmission(t *testing.T) {
 }
 
 // TestRemoveTaskFreesAllowance: removing a task recomputes a larger
-// (or equal) equitable allowance.
+// (or equal) equitable allowance and ends its detector chain. tau3 is
+// removed at 1100 ms, after its job 0 (released at 1000) was checked
+// at 1090; the check already armed for job 1 must not fire.
 func TestRemoveTaskFreesAllowance(t *testing.T) {
 	sup, err := NewSupervisor(figureSet(), Config{Treatment: Stop, TimerResolution: ms(10)})
 	if err != nil {
@@ -350,12 +349,12 @@ func TestRemoveTaskFreesAllowance(t *testing.T) {
 	if rep := sup.Admission(); !rep.Feasible || len(rep.WCRT) != 3 {
 		t.Fatalf("admission report before removal: %+v", rep)
 	}
-	e, err := engine.New(engine.Config{Tasks: figureSet(), End: at(5000), Hooks: sup.Hooks()})
+	e, err := engine.New(engine.Config{Tasks: figureSet(), End: at(5000)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sup.Attach(e)
-	e.Schedule(at(100), func(now vtime.Time) {
+	e.Schedule(at(1100), func(now vtime.Time) {
 		if err := sup.RemoveTask(e, "tau3"); err != nil {
 			t.Errorf("RemoveTask: %v", err)
 		}
@@ -363,7 +362,22 @@ func TestRemoveTaskFreesAllowance(t *testing.T) {
 			t.Error("removing an unknown task must fail")
 		}
 	})
-	e.Run()
+	log := e.Run()
+	released := int64(len(e.Jobs("tau3")))
+	if released != 1 {
+		t.Fatalf("tau3 released %d jobs before its removal, want 1", released)
+	}
+	checks := log.Filter(func(ev trace.Event) bool {
+		return ev.Kind == trace.DetectorRelease && ev.Task == "tau3"
+	})
+	if len(checks) != 1 {
+		t.Errorf("tau3 detector released %d times, want once (job 0)", len(checks))
+	}
+	for _, ev := range checks {
+		if ev.Job >= released {
+			t.Errorf("detector checked tau3#%d at %v after the task was removed", ev.Job, ev.At)
+		}
+	}
 	after := sup.Table().Equitable
 	if n := len(sup.Admission().WCRT); n != 2 {
 		t.Errorf("admission report covers %d tasks after removing tau3, want 2", n)
@@ -375,6 +389,54 @@ func TestRemoveTaskFreesAllowance(t *testing.T) {
 		// With τ3 (the binding constraint, D=120 at lowest priority)
 		// gone, the allowance must strictly grow: R2 = 58+2A ≤ 120.
 		t.Errorf("removing the binding task must grow the allowance: %v -> %v", before, after)
+	}
+}
+
+// TestEquitableReArmAfterAdmission: under the equitable treatment,
+// admitting tau3 into {tau1, tau2} at 250 ms shrinks the equitable
+// allowance, and tau1's detector picks the new shifted WCRT up at its
+// next arming. The check for tau1#1 was armed before the admission
+// and keeps the old offset; tau1#2's check lands at 400 ms plus the
+// new EquitableWCRT, quantized to the timer resolution.
+func TestEquitableReArmAfterAdmission(t *testing.T) {
+	base := taskset.MustNew(figureSet().Tasks[:2]...)
+	res := DefaultTimerResolution
+	sup, err := NewSupervisor(base, Config{Treatment: Equitable, TimerResolution: res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldOff := sup.Table().EquitableWCRT[0].Ceil(res)
+	e, err := engine.New(engine.Config{Tasks: base, End: at(1000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup.Attach(e)
+	e.Schedule(at(250), func(now vtime.Time) {
+		if err := sup.AdmitTask(e, figureSet().Tasks[2]); err != nil {
+			t.Errorf("AdmitTask(tau3): %v", err)
+		}
+	})
+	log := e.Run()
+	newOff := sup.Table().EquitableWCRT[0].Ceil(res)
+	if newOff >= oldOff {
+		t.Fatalf("admitting tau3 must shrink tau1's shifted WCRT: %v -> %v", oldOff, newOff)
+	}
+	if off, _ := sup.DetectorOffset("tau1"); off != newOff {
+		t.Errorf("tau1 detector offset = %v, want %v", off, newOff)
+	}
+	fired := map[int64]vtime.Time{}
+	for _, ev := range log.Filter(func(ev trace.Event) bool {
+		return ev.Kind == trace.DetectorRelease && ev.Task == "tau1"
+	}) {
+		fired[ev.Job] = ev.At
+	}
+	for q, want := range map[int64]vtime.Time{
+		1: at(200).Add(oldOff),
+		2: at(400).Add(newOff),
+	} {
+		if got, ok := fired[q]; !ok || got != want {
+			t.Errorf("tau1#%d detector released at %v (recorded %v), want %v", q, got, ok, want)
+		}
 	}
 }
 
@@ -390,68 +452,5 @@ func TestTreatmentStrings(t *testing.T) {
 		if tr.String() != w {
 			t.Errorf("%d.String() = %q, want %q", int(tr), tr.String(), w)
 		}
-	}
-}
-
-// TestCostUnderrunObservation (paper §7): a task whose jobs complete
-// well under the declared cost is observed, and the reclaimed
-// allowance grows accordingly.
-func TestCostUnderrunObservation(t *testing.T) {
-	sup, err := NewSupervisor(figureSet(), Config{Treatment: DetectOnly, TimerResolution: ms(10)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := engine.New(engine.Config{
-		Tasks: figureSet(),
-		// tau1's jobs actually take 9ms, not the declared 29.
-		Faults: fault.Plan{"tau1": fault.UnderrunEvery{Early: ms(20)}},
-		End:    at(3000),
-		Hooks:  sup.Hooks(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sup.Attach(e)
-	e.Run()
-	got, n := sup.ObservedCost("tau1")
-	if n == 0 || got != ms(9) {
-		t.Fatalf("observed tau1 cost = %v over %d jobs, want 9ms", got, n)
-	}
-	// tau2/tau3 run at their declared 29ms.
-	if got, _ := sup.ObservedCost("tau2"); got != ms(29) {
-		t.Fatalf("observed tau2 cost = %v, want 29ms", got)
-	}
-	// Reclaiming with tau1 at 9ms: equitable allowance from
-	// 3·(29+A) ≤ 120 becomes (9+A) + ... recompute: tau3's bound is
-	// R3 = (9+A)+(29+A)+(29+A) ≤ 120 → A ≤ 17.67 → 17ms.
-	tab, err := sup.ReclaimTable(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.Equitable <= sup.Table().Equitable {
-		t.Fatalf("reclaimed allowance %v must exceed nominal %v", tab.Equitable, sup.Table().Equitable)
-	}
-	if tab.Equitable != ms(17) {
-		t.Fatalf("reclaimed allowance = %v, want 17ms", tab.Equitable)
-	}
-	// Demanding more evidence than exists keeps the declaration.
-	tab, err = sup.ReclaimTable(1 << 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.Equitable != sup.Table().Equitable {
-		t.Fatalf("insufficient evidence must keep the nominal allowance, got %v", tab.Equitable)
-	}
-}
-
-// TestObservedCostIgnoresStoppedJobs: a stopped job's truncated
-// execution must not masquerade as an observed (smaller) cost.
-func TestObservedCostIgnoresStoppedJobs(t *testing.T) {
-	_, sup, _ := runFigure(t, Stop)
-	got, n := sup.ObservedCost("tau1")
-	// Jobs 0-4 and 6, 7 complete at 29ms; the stopped job 5 (ran
-	// ~30ms before the stop) is excluded.
-	if got != ms(29) {
-		t.Fatalf("observed tau1 cost = %v over %d completions, want 29ms", got, n)
 	}
 }

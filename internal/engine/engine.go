@@ -21,8 +21,8 @@
 // CPU linearly. The event loop is typed and allocation free in the
 // steady state: releases, deadline checks and the completion
 // prediction are fixed-size records dispatched through a switch, not
-// heap-allocated closures (only external timers — detectors, the
-// supervisor's allowance stops, test hooks — carry a callback).
+// heap-allocated closures (only external timers — detectors and the
+// supervisor's allowance stops — carry a callback).
 // Deadline and completion events are cancelled eagerly: the heap
 // tracks each cancellable event's position, a job's deadline check is
 // removed the moment the job finishes, and the single completion
@@ -136,8 +136,6 @@ type Config struct {
 	// and the cycle extrapolation so streaming metrics stay exact
 	// across the jump. Typically the same metrics.Accumulator as Sink.
 	Observer CycleObserver
-	// Hooks observe the run (all optional).
-	Hooks Hooks
 }
 
 // Features describes a run by what the fast-forward and checkpoint
@@ -234,23 +232,6 @@ func (cfg *Config) Features() Features {
 		f.Sources = f.Sources || s != nil
 	}
 	return f
-}
-
-// Hooks are observation points used by the fault-tolerance supervisor
-// and by tests. Under Stream collection the *Job passed to a hook is
-// recycled once the hook returns — read what you need, do not retain
-// the pointer; and the job is already consumed from its task's queue
-// when OnFinish/OnStopped run, so a JobAt for it inside the hook
-// reports it missing (see JobAt's contract).
-type Hooks struct {
-	// OnRelease fires after a job is released and admitted.
-	OnRelease func(e *Engine, j *Job)
-	// OnFinish fires when a job completes its work.
-	OnFinish func(e *Engine, j *Job)
-	// OnStopped fires when a job terminates early on its stop flag.
-	OnStopped func(e *Engine, j *Job)
-	// OnTaskAdded fires when dynamic admission adds a task.
-	OnTaskAdded func(e *Engine, task string)
 }
 
 // Policy orders the ready queue and admits released jobs. The
@@ -446,9 +427,9 @@ func (ts *taskState) popFront() *Job {
 type eventKind uint8
 
 const (
-	// evCallback runs an arbitrary function: detector timers,
-	// supervisor stop timers, test hooks. The only event kind that
-	// costs an allocation to schedule.
+	// evCallback runs an arbitrary function: detector timers and
+	// supervisor stop timers. The only event kind that costs an
+	// allocation to schedule.
 	evCallback eventKind = iota
 	// evRelease activates task ts's next job and re-arms itself one
 	// period later.
@@ -1066,9 +1047,6 @@ func (e *Engine) release(ts *taskState, now vtime.Time) {
 		if wasIdle {
 			e.readyPush(ts)
 		}
-		if e.cfg.Hooks.OnRelease != nil {
-			e.cfg.Hooks.OnRelease(e, j)
-		}
 	}
 	if ts.src != nil {
 		// Pull the next arrival lazily; exhaustion (a finite trace)
@@ -1100,8 +1078,9 @@ func (e *Engine) finishIfDone(now vtime.Time) {
 
 // finishCore terminates core c's running job once it has consumed its
 // effective demand: it cancels the pending deadline check, consumes
-// the job from its task's queue, rekeys the ready queue, and (under
-// Stream collection) recycles the record after the hooks ran.
+// the job from its task's queue, rekeys the ready queue, records the
+// end (or stop) event, and (under Stream collection) recycles the
+// record.
 func (e *Engine) finishCore(c int, now vtime.Time) {
 	j := e.running[c]
 	if j == nil || j.done || j.Executed < j.demand() {
@@ -1126,14 +1105,8 @@ func (e *Engine) finishCore(c int, now vtime.Time) {
 	if j.limited && j.Actual+j.overhead > j.workLimit {
 		j.stopped = true
 		e.Record(trace.Event{At: now, Kind: trace.JobStopped, Task: j.TaskName(), Job: j.Q})
-		if e.cfg.Hooks.OnStopped != nil {
-			e.cfg.Hooks.OnStopped(e, j)
-		}
 	} else {
 		e.Record(trace.Event{At: now, Kind: trace.JobEnd, Task: j.TaskName(), Job: j.Q})
-		if e.cfg.Hooks.OnFinish != nil {
-			e.cfg.Hooks.OnFinish(e, j)
-		}
 	}
 	e.running[c] = nil
 	if e.stream {
@@ -1360,10 +1333,10 @@ func (e *Engine) readyRemove(ts *taskState) {
 // search over the release-ordered pending queue. The contract is
 // therefore: a missing job is a terminated (or never-released) one,
 // and that holds from the very instant the job terminates — a query
-// issued by a callback at the job's own completion instant (a
-// detector check, an OnFinish/OnStopped hook, a same-tick timer)
-// already reports it missing, because finishIfDone consumes the job
-// from the pending queue before any hook runs. Callers must treat
+// issued by a timer at the job's own completion instant (a detector
+// check, a same-tick stop timer) already reports it missing, because
+// finishIfDone consumes the job from the pending queue before any
+// timer at that instant runs. Callers must treat
 // missing as done, never as "not yet released"; the detectors and
 // D-over's watchdog do exactly that, and
 // TestJobAtSameInstantCompletion pins the behaviour in both modes.
@@ -1505,9 +1478,6 @@ func (e *Engine) AddTask(t taskset.Task, m fault.Model, now vtime.Time) error {
 	}
 	e.addTaskState(t, m)
 	e.Record(trace.Event{At: now, Kind: trace.TaskAdded, Task: t.Name, Job: -1})
-	if e.cfg.Hooks.OnTaskAdded != nil {
-		e.cfg.Hooks.OnTaskAdded(e, t.Name)
-	}
 	return nil
 }
 

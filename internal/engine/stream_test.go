@@ -6,6 +6,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/taskset"
 	"repro/internal/trace"
+	"repro/internal/vtime"
 )
 
 // TestStreamEmitsIdenticalEvents: the same configuration run under
@@ -38,24 +39,32 @@ func TestStreamEmitsIdenticalEvents(t *testing.T) {
 
 // TestStreamRecyclesJobs: under Stream no job history survives —
 // Jobs is nil, JobAt resolves live jobs only — while live jobs stay
-// reachable for the detectors' StopJob path.
+// reachable for the detectors' StopJob path. Timers probe instants at
+// which jobs are known to be pending: tau1#0 and tau2#0 at 10 ms (both
+// released at 0, tau1 running), tau1#1 at 210 ms.
 func TestStreamRecyclesJobs(t *testing.T) {
-	sawLive := false
-	cfg := Config{
-		Tasks:   table2WithOffset(),
-		End:     at(3000),
-		Collect: Stream,
-		Hooks: Hooks{
-			OnRelease: func(e *Engine, j *Job) {
-				if jj, ok := e.JobAt(j.TaskName(), j.Q); ok && jj == j {
-					sawLive = true
-				}
-			},
-		},
+	e, err := New(Config{Tasks: table2WithOffset(), End: at(3000), Collect: Stream})
+	if err != nil {
+		t.Fatal(err)
 	}
-	e, _ := run(t, cfg)
-	if !sawLive {
-		t.Error("live jobs must resolve through JobAt while pending")
+	probes := []struct {
+		at   int64
+		task string
+		q    int64
+	}{{10, "tau1", 0}, {10, "tau2", 0}, {210, "tau1", 1}}
+	ran := 0
+	for _, p := range probes {
+		p := p
+		e.Schedule(at(p.at), func(now vtime.Time) {
+			ran++
+			if j, ok := e.JobAt(p.task, p.q); !ok || j.Q != p.q || j.TaskName() != p.task || j.Done() {
+				t.Errorf("%s#%d at %v: pending job did not resolve through JobAt", p.task, p.q, now)
+			}
+		})
+	}
+	e.Run()
+	if ran != len(probes) {
+		t.Errorf("%d of %d probes ran", ran, len(probes))
 	}
 	if jobs := e.Jobs("tau1"); jobs != nil {
 		t.Errorf("Jobs must be nil under Stream, got %d jobs", len(jobs))
@@ -161,43 +170,47 @@ func TestRetainSinkTees(t *testing.T) {
 }
 
 // TestJobAtSameInstantCompletion pins JobAt's terminated-job
-// contract at the trickiest instant — a query from the OnFinish hook,
-// i.e. the very tick the job completes. Under Stream the job has
-// already left the pending queue (and is about to be recycled), so it
-// must report missing; under Retain the full history resolves it and
-// shows it done. Either way, "missing or done" is what a same-instant
-// caller (a detector firing at the completion tick) must treat as
-// "finished in time".
+// contract at the trickiest instant — a detector-class timer at the
+// very tick the job completes (tau1#0 at 29 ms, tau2#0 at 58 ms in
+// the fault-free Table 2 run). Completions run before detector checks
+// at equal instants, so under Stream the job has already left the
+// pending queue and must report missing; under Retain the full
+// history resolves it and shows it done. Either way, "missing or
+// done" is what a same-instant caller (a detector firing at the
+// completion tick) must treat as "finished in time".
 func TestJobAtSameInstantCompletion(t *testing.T) {
 	for _, mode := range []Collect{Retain, Stream} {
 		mode := mode
 		name := map[Collect]string{Retain: "retain", Stream: "stream"}[mode]
 		t.Run(name, func(t *testing.T) {
-			queried := false
-			cfg := Config{
-				Tasks:   table2WithOffset(),
-				End:     at(3000),
-				Collect: mode,
-				Hooks: Hooks{
-					OnFinish: func(e *Engine, j *Job) {
-						queried = true
-						jj, ok := e.JobAt(j.TaskName(), j.Q)
-						switch mode {
-						case Stream:
-							if ok {
-								t.Errorf("%s#%d: JobAt resolved a job that completed this instant under Stream", j.TaskName(), j.Q)
-							}
-						case Retain:
-							if !ok || jj != j || !jj.Done() {
-								t.Errorf("%s#%d: JobAt under Retain = (%v, %v), want the done job", j.TaskName(), j.Q, jj, ok)
-							}
-						}
-					},
-				},
+			e, err := New(Config{Tasks: table2WithOffset(), End: at(3000), Collect: mode})
+			if err != nil {
+				t.Fatal(err)
 			}
-			run(t, cfg)
-			if !queried {
-				t.Fatal("OnFinish never fired")
+			queried := 0
+			for _, p := range []struct {
+				at   int64
+				task string
+			}{{29, "tau1"}, {58, "tau2"}} {
+				p := p
+				e.ScheduleDetector(at(p.at), func(now vtime.Time) {
+					queried++
+					jj, ok := e.JobAt(p.task, 0)
+					switch mode {
+					case Stream:
+						if ok {
+							t.Errorf("%s#0: JobAt resolved a job that completed this instant under Stream", p.task)
+						}
+					case Retain:
+						if !ok || !jj.Done() || jj.FinishedAt != now {
+							t.Errorf("%s#0: JobAt under Retain = (%v, %v), want the job done at %v", p.task, jj, ok, now)
+						}
+					}
+				})
+			}
+			e.Run()
+			if queried != 2 {
+				t.Fatalf("%d of 2 same-instant probes ran", queried)
 			}
 		})
 	}

@@ -131,6 +131,31 @@ func TestScenarioFigure5MatchesRunFigure(t *testing.T) {
 	}
 }
 
+// TestRefusedFastForwardLeavesSystemRunnable: figure5 runs the stop
+// treatment, which fast-forward's eligibility table refuses. The
+// refused SetFastForward(true) must leave the system as it was, so
+// the next Run still succeeds with the same trace.
+func TestRefusedFastForwardLeavesSystemRunnable(t *testing.T) {
+	sys, err := Load(scenarioPath("figure5.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SetFastForward(true); err == nil {
+		t.Fatal("SetFastForward(true) on a stop-treatment scenario must be refused")
+	}
+	after, err := sys.Run()
+	if err != nil {
+		t.Fatalf("Run after a refused SetFastForward: %v", err)
+	}
+	if after.Log.EncodeString() != before.Log.EncodeString() {
+		t.Error("a refused SetFastForward changed the run's trace")
+	}
+}
+
 // TestBuilderMatchesScenarioFile: the functional-options builder and
 // the JSON spec compile to identical runs.
 func TestBuilderMatchesScenarioFile(t *testing.T) {

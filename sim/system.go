@@ -49,10 +49,16 @@ func (s *System) SetVerify(on bool) { s.sc.Verify = on }
 // system (the post-load equivalent of WithFastForward or the
 // scenario's "fast_forward": true — how cmd/rtrun -fast-forward arms
 // it on a loaded file). Unlike SetVerify it can fail: the scenario
-// must satisfy the fast-forward eligibility table (engine.Features).
+// must satisfy the fast-forward eligibility table (engine.Features);
+// a refused call leaves the system as it was.
 func (s *System) SetFastForward(on bool) error {
+	prev := s.sc.FastForward
 	s.sc.FastForward = on
-	return s.sc.Validate()
+	if err := s.sc.Validate(); err != nil {
+		s.sc.FastForward = prev
+		return err
+	}
+	return nil
 }
 
 // ObserveProgress registers fn to observe the run's advancing virtual
